@@ -7,17 +7,46 @@ once.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .exact import basis as _exact
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre_halfcell(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the reference cell [-1/2, 1/2]."""
+    """Gauss-Legendre nodes and weights on the reference cell [-1/2, 1/2].
+
+    The arrays are cached and read-only.
+    """
     if n_nodes < 1:
         raise ValueError("need at least one quadrature node")
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    return nodes / 2.0, weights / 2.0
+    # Newton's method on P_n from the standard initial guesses.
+    x = np.cos(np.pi * (np.arange(n_nodes, 0, -1) - 0.25) / (n_nodes + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n_nodes, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps:
+            break
+    dp = _legendre(n_nodes, x)[1]
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    # Exact symmetry about the cell center, as the rule has.
+    x = (x - x[::-1]) / 2.0
+    weights = (weights + weights[::-1]) / 2.0
+    for arr in (x, weights):
+        arr /= 2.0
+        arr.flags.writeable = False
+    return x, weights
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) from the recurrence j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}."""
+    p, p_prev = np.ones_like(x), np.zeros_like(x)
+    for j in range(1, n + 1):
+        p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
 class ModalBasis:

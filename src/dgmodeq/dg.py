@@ -11,16 +11,19 @@ can check the other:
       d a^j/dt = -(A a^j - B a^{j-1}) / dx
 
   whose entries are assembled exactly in Q[sqrt(3), sqrt(5)] and demoted to
-  floats once, here.
+  floats once, here.  As a mesh.Stencil this is {0: -A, -1: +B}; the same
+  stencil gives symbol(), the per-wavenumber amplification generator, and
+  drives the exact Fourier propagator (Integrator.propagate) that the
+  convergence study uses.  rhs_weak never touches the stencil, so marching
+  with it stays an independent reference.
 
-symbol() gives the per-wavenumber amplification generator of the matrix
-form, and correction_term() the discrete curvature defect used by the
+correction_term() gives the discrete curvature defect used by the
 second-moment studies.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,6 +32,7 @@ from .basis import gauss_legendre_halfcell
 from .exact import basis as _exact
 from .exact.numbers import QF
 from .field import DEFAULT_QUAD_NODES, ModalField
+from .mesh import Stencil
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,11 @@ class UpdateMatrices:
         for arr in (self.a, self.b):
             arr.flags.writeable = False
 
+    @cached_property
+    def stencil(self) -> Stencil:
+        """The update as blocks per unit dx: {0: -A, -1: +B}."""
+        return Stencil({0: -self.a, -1: self.b})
+
 
 @lru_cache(maxsize=None)
 def update_matrices(degree: int) -> UpdateMatrices:
@@ -83,10 +92,7 @@ def rhs_matrix(field: ModalField, matrices: UpdateMatrices | None = None) -> Mod
         raise ValueError(
             f"matrices are degree {matrices.degree}, field is degree {field.degree}"
         )
-    a = field.coeffs
-    upwind = np.roll(a, 1, axis=0)
-    deriv = -(a @ matrices.a.T - upwind @ matrices.b.T) / field.mesh.dx
-    return field.with_data(deriv)
+    return matrices.stencil.apply(field)
 
 
 def rhs_weak(
@@ -138,8 +144,7 @@ def symbol(theta: float, degree: int) -> np.ndarray:
     with spacing dx the mode with phase shift theta per cell evolves with
     generator G(theta)/dx.
     """
-    m = update_matrices(degree)
-    return -(m.a - m.b * np.exp(-1j * theta))
+    return update_matrices(degree).stencil.symbol(theta)
 
 
 def correction_term(

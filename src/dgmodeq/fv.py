@@ -7,19 +7,32 @@ Slopes for the second-order scheme come in the two classical flavors,
     upwind:   s_j =  ubar_j - ubar_{j-1}
 
 with the interface value u_{j+1/2} = ubar_j + s_j/2 and no limiter.
+
+Each scheme is linear, so it is a mesh.Stencil of 1x1 blocks (fv_stencil);
+the rhs functions apply it, and the convergence study propagates it exactly
+in Fourier space (Integrator.propagate) instead of marching it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .basis import gauss_legendre_halfcell
 from .field import DEFAULT_QUAD_NODES, Norms
-from .mesh import Mesh1D
+from .mesh import Mesh1D, Stencil
 
 SLOPE_CHOICES = ("central", "upwind")
+
+# d ubar_j/dt = -(u_{j+1/2} - u_{j-1/2})/dx expanded into weights of
+# ubar_{j+o} per unit dx, keyed by offset o.
+_FV_WEIGHTS = {
+    "fv1": {0: -1.0, -1: 1.0},
+    "fv2-central": {1: -0.25, 0: -0.75, -1: 1.25, -2: -0.25},
+    "fv2-upwind": {0: -1.5, -1: 2.0, -2: -0.5},
+}
 
 
 @dataclass(frozen=True)
@@ -59,23 +72,24 @@ def project_averages(
     return AverageField(mesh, samples @ weights)
 
 
+@lru_cache(maxsize=None)
+def fv_stencil(scheme: str) -> Stencil:
+    """Stencil of 'fv1', 'fv2-central' or 'fv2-upwind'."""
+    if scheme not in _FV_WEIGHTS:
+        raise ValueError(f"scheme must be one of {tuple(_FV_WEIGHTS)}, got {scheme!r}")
+    return Stencil(_FV_WEIGHTS[scheme])
+
+
 def rhs_fv1(field: AverageField) -> AverageField:
     """First-order upwind: d ubar_j/dt = -(ubar_j - ubar_{j-1})/dx."""
-    u = field.values
-    return field.with_data(-(u - np.roll(u, 1)) / field.mesh.dx)
+    return fv_stencil("fv1").apply(field)
 
 
 def rhs_fv2(field: AverageField, slope: str = "central") -> AverageField:
     """Unlimited second-order reconstruction with upwind interface flux."""
     if slope not in SLOPE_CHOICES:
         raise ValueError(f"slope must be one of {SLOPE_CHOICES}, got {slope!r}")
-    u = field.values
-    if slope == "central":
-        s = 0.5 * (np.roll(u, -1) - np.roll(u, 1))
-    else:
-        s = u - np.roll(u, 1)
-    u_face = u + 0.5 * s  # value at the right edge of each cell
-    return field.with_data(-(u_face - np.roll(u_face, 1)) / field.mesh.dx)
+    return fv_stencil(f"fv2-{slope}").apply(field)
 
 
 def total_variation(field: AverageField) -> float:

@@ -1,8 +1,9 @@
-"""Uniform periodic mesh on [0, 1]."""
+"""Uniform periodic mesh on [0, 1] and block-circulant operators over it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -62,3 +63,47 @@ class Mesh1D:
     def cell_of(self, x: np.ndarray | float) -> np.ndarray:
         """Owning cell index for each point, interfaces resolving left."""
         return self.locate(x)[0]
+
+
+class Stencil:
+    """Periodic, constant-coefficient linear operator on a uniform mesh.
+
+    blocks maps a cell offset o to an (m, m) block S_o per unit dx, and the
+    operator is
+
+        d a_j/dt = sum_o S_o a_{j+o} / dx
+
+    for m unknowns per cell.  Every scheme in the package is one of these;
+    apply() is its right-hand side and symbol() its per-wavenumber generator.
+    """
+
+    def __init__(self, blocks: Mapping[int, np.ndarray | float]) -> None:
+        self.offsets = tuple(sorted(blocks))
+        stack = np.array([np.atleast_2d(blocks[o]) for o in self.offsets], dtype=float)
+        self.blocks = _readonly(stack)
+        # symbol() tables, complex up front so no call pays for the cast
+        self._flat = stack.reshape(len(self.offsets), -1).astype(complex)
+        self._phases = 1j * np.array(self.offsets, dtype=float)
+
+    @property
+    def size(self) -> int:
+        """Unknowns per cell."""
+        return self.blocks.shape[-1]
+
+    def apply(self, state):
+        """Right-hand side of a state with .data (n_cells[, m]), .mesh, .with_data."""
+        a = state.data.reshape(state.mesh.n_cells, self.size)
+        out = np.zeros_like(a)
+        for o, block in zip(self.offsets, self.blocks):
+            out += (np.roll(a, -o, axis=0) if o else a) @ block.T
+        out /= state.mesh.dx
+        return state.with_data(out.reshape(state.data.shape))
+
+    def symbol(self, theta: np.ndarray | float) -> np.ndarray:
+        """G(theta) = sum_o S_o exp(i o theta); shape(theta) + (m, m).
+
+        The Fourier mode a_j = v exp(i j theta) evolves as dv/dt = G(theta) v / dx.
+        """
+        theta = np.asarray(theta)
+        g = np.exp(theta[..., None] * self._phases) @ self._flat
+        return g.reshape(theta.shape + self.blocks.shape[1:])

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from dgmodeq import (
+    SCHEMES,
     RunConfig,
     exact_solution,
     initial_condition,
@@ -13,6 +14,7 @@ from dgmodeq import (
     run_spectrum,
 )
 from dgmodeq.analysis import (
+    _fit_order,
     check_convergence,
     check_correction,
     check_residual,
@@ -60,6 +62,30 @@ def test_run_config_validation():
         RunConfig("dg-p1", (10, 20), integrator="rk4")
     with pytest.raises(ValueError):
         RunConfig("dg-p1", (10, 20), ic="sawtooth")
+
+
+@pytest.mark.parametrize("bad", [{"cfl": np.nan}, {"cfl": np.inf}, {"periods": np.nan}, {"periods": np.inf}])
+def test_run_config_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig("dg-p1", (10, 20), **bad)
+
+
+@pytest.mark.parametrize("flag", ["--cfl", "--periods"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_nonfinite(flag, value, capsys):
+    # a nan horizon used to print zero steps, nan norms and status ok
+    assert main(["convergence", "--grids", "10,20", flag, value]) != 0
+    assert "finite" in capsys.readouterr().err
+
+
+def test_fit_order_matches_polyfit():
+    # the closed-form slope against numpy's least squares on the acceptance ladders
+    for grids in ((40, 80, 160, 320), (40, 80, 160, 320, 640)):
+        for scheme in SCHEMES:
+            table = run_convergence(RunConfig(scheme, grids))
+            ns, l2s = table.column("N"), table.column("l2")
+            want = np.polyfit(np.log([1.0 / n for n in ns]), np.log(l2s), 1)[0]
+            assert abs(_fit_order(ns, l2s) - want) <= 1e-12
 
 
 def test_convergence_small_ladder():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dgmodeq import Mesh1D, ModalBasis, ModalField, error_norms, project
+from dgmodeq import Mesh1D, ModalBasis, ModalField, error_norms, gauss_legendre_halfcell, project
 
 
 def test_mesh_geometry():
@@ -175,3 +175,13 @@ def test_cell_averages():
     mesh = Mesh1D(4)
     field = project(lambda x: x, mesh, 1)
     assert np.allclose(field.cell_averages(), mesh.centers, atol=1e-14)
+
+
+def test_gauss_legendre_matches_numpy():
+    # the half-cell rule is the standard one scaled by 1/2
+    for n in range(1, 13):
+        nodes, weights = gauss_legendre_halfcell(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(nodes - ref_nodes / 2.0)) <= 1e-15
+        assert np.max(np.abs(weights - ref_weights / 2.0)) <= 1e-15
+        assert not nodes.flags.writeable and not weights.flags.writeable

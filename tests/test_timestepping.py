@@ -1,8 +1,23 @@
 """SSP Runge-Kutta steppers: amplification factors, orders, stability."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from dgmodeq import Integrator, Mesh1D, ModalBasis, ModalField, error_norms, project, rhs_matrix
+from dgmodeq import (
+    SCHEMES,
+    Integrator,
+    Mesh1D,
+    RunConfig,
+    error_norms,
+    initial_condition,
+    project,
+    rhs_matrix,
+    run_convergence,
+    update_matrices,
+)
+from dgmodeq.analysis import _setup_scheme
 from dgmodeq.timestepping import METHODS
 
 
@@ -146,3 +161,80 @@ def test_integrate_requires_mesh():
     integ = Integrator("euler", cfl=0.1, t_final=1.0)
     with pytest.raises(ValueError):
         integ.integrate(_Scalar(1.0), lambda s, t: s)
+
+
+# ----------------------------------------------------------------------
+# integer step schedule
+
+
+def test_schedule_takes_no_sliver_step():
+    # t += dt accumulation used to overshoot into a 47201st sliver step here
+    n, dt, dt_last = Integrator("ssprk3", cfl=0.1, t_final=10.0).schedule(Mesh1D(472).dx)
+    assert n == 47200
+    assert dt_last == pytest.approx(dt, rel=1e-9)
+
+
+def test_schedule_exact_count_property():
+    # cfl and periods are short decimals, as typed on the command line; the
+    # count must equal the exact rational ceiling and the steps sum to t_final
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        n_cells = int(rng.integers(1, 3001))
+        cfl = Fraction(int(rng.integers(1, 2001)), 1000)
+        periods = Fraction(int(rng.integers(0, 201)), 10)
+        integ = Integrator("ssprk3", cfl=float(cfl), t_final=float(periods))
+        n, dt, dt_last = integ.schedule(Mesh1D(n_cells).dx)
+        assert n == math.ceil(periods * n_cells / cfl), (n_cells, cfl, periods)
+        if n:
+            # the last step may absorb rounding up to the schedule's 1e-12 guard
+            assert 0.0 < dt_last <= dt + 1e-12 * max(1.0, float(periods))
+            assert abs((n - 1) * dt + dt_last - float(periods)) <= 4e-16 * float(periods)
+
+
+@pytest.mark.parametrize("bad", [{"cfl": np.nan}, {"cfl": np.inf}, {"t_final": np.nan}, {"t_final": np.inf}])
+def test_stepper_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Integrator("ssprk3", **bad)
+
+
+# ----------------------------------------------------------------------
+# Fourier propagator against marching
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("method", METHODS)
+def test_propagate_matches_integrate(scheme, method):
+    rng = np.random.default_rng(17)
+    for n_cells in (8, 16, 40):
+        state, stencil, _ = _setup_scheme(scheme, initial_condition("sine"), Mesh1D(n_cells))
+        state = state.with_data(rng.standard_normal(state.data.shape))
+        # 0.2345 is no multiple of dt, so the last step is shortened; 0.25 is
+        for t_final in (0.2345, 0.25):
+            integ = Integrator(method, cfl=0.1, t_final=t_final)
+            marched, n_marched = integ.integrate(state, lambda s, t: stencil.apply(s))
+            propagated, n_propagated = integ.propagate(state, stencil)
+            assert n_propagated == n_marched == integ.schedule(state.mesh.dx)[0]
+            scale = np.max(np.abs(marched.data))
+            assert np.max(np.abs(propagated.data - marched.data)) <= 1e-11 * scale
+
+
+def test_propagate_zero_horizon_returns_input():
+    field = project(lambda x: x, Mesh1D(4), 1)
+    out, steps = Integrator("ssprk3", cfl=0.1, t_final=0.0).propagate(
+        field, update_matrices(1).stencil
+    )
+    assert steps == 0
+    assert np.array_equal(out.data, field.data)
+
+
+def test_propagate_reports_blow_up_like_integrate():
+    # the unstable run of test_convergence_records_failure_rows at N=32
+    field = project(lambda x: np.sin(2 * np.pi * x), Mesh1D(32), 1)
+    stencil = update_matrices(1).stencil
+    integ = Integrator("euler", cfl=2.0, t_final=30.0)
+    with pytest.raises(RuntimeError, match="step"):
+        integ.integrate(field, lambda s, t: stencil.apply(s))
+    with pytest.raises(RuntimeError, match="step"):
+        integ.propagate(field, stencil)
+    table = run_convergence(RunConfig("dg-p1", (32,), cfl=2.0, periods=30.0, integrator="euler"))
+    assert table.column("status") == ["failed"]
