@@ -1,10 +1,11 @@
 """Experiment drivers: convergence, residual, spectrum, correction, compare.
 
-Each run_* function returns a ResultTable that renders both as an aligned
-console table and as deterministic CSV (comma separated, header row,
-scientific notation with 13 significant digits).  Wall-clock times are kept
-in table metadata and the console rendering only, never in the CSV, so
-repeated runs with the same configuration produce byte-identical files.
+Each run_* function computes and returns a ResultTable; none of them writes
+files.  A table renders as an aligned console table and, through
+ResultTable.write_csv, as a CSV file named after the table: comma separated,
+header row, scientific notation with 13 significant digits.  No timing is
+recorded, so repeated runs with the same configuration produce
+byte-identical files.
 
 The convergence and compare studies advance each scheme's stencil with the
 exact Fourier propagator (Integrator.propagate); marching with
@@ -13,8 +14,7 @@ Integrator.integrate is the reference it is tested against.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -128,8 +128,6 @@ class RunConfig:
     periods: float = 1.0
     ic: str = "sine"
     integrator: str = "ssprk3"
-    out_dir: Path | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -147,8 +145,6 @@ class RunConfig:
         if self.integrator not in METHODS:
             raise ValueError(f"integrator must be one of {METHODS}")
         initial_condition(self.ic)  # validates the spec string
-        if self.out_dir is not None:
-            object.__setattr__(self, "out_dir", Path(self.out_dir))
 
     def doubling_grids(self) -> tuple[int, ...]:
         if any(b != 2 * a for a, b in zip(self.grids, self.grids[1:])):
@@ -196,8 +192,9 @@ class ResultTable:
         lines.extend(",".join(_fmt_csv(v) for v in row) for row in self.rows)
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path: Path | str) -> Path:
-        path = Path(path)
+    def write_csv(self, out_dir: Path | str) -> Path:
+        """Write out_dir/<name>.csv, creating out_dir if needed; return its path."""
+        path = Path(out_dir) / f"{self.name}.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.csv_text())
         return path
@@ -265,29 +262,24 @@ def _eoc(prev: tuple[int, float] | None, n: int, err: float | None) -> float | N
     return float(np.log(e_prev / err) / np.log(n / n_prev))
 
 
-def run_convergence(config: RunConfig, table: ResultTable | None = None) -> ResultTable:
+def run_convergence(config: RunConfig) -> ResultTable:
     """Propagate over whole periods on each grid and tabulate errors/EOCs."""
     ic = initial_condition(config.ic)
     integ = Integrator(config.integrator, config.cfl, t_final=config.periods)
     exact = exact_solution(ic, config.periods)
-    own_table = table is None
-    if own_table:
-        table = ResultTable(f"convergence_{config.scheme}", _CONV_COLUMNS)
-    wall_times = table.meta.setdefault("wall_times", [])
+    table = ResultTable(f"convergence_{config.scheme}", _CONV_COLUMNS)
     prev: dict[str, tuple[int, float] | None] = {"l1": None, "l2": None, "linf": None}
     ns: list[int] = []
     l2s: list[float | None] = []
     for n in config.grids:
         mesh = Mesh1D(n)
         state, stencil, norms_fn = _setup_scheme(config.scheme, ic, mesh)
-        t_start = time.perf_counter()
         try:
             final, steps = integ.propagate(state, stencil)
             norms = norms_fn(final, exact)
             status = "ok"
         except RuntimeError:
             final, steps, norms, status = None, None, None, "failed"
-        wall_times.append(time.perf_counter() - t_start)
         row = {
             "scheme": config.scheme,
             "N": n,
@@ -302,28 +294,18 @@ def run_convergence(config: RunConfig, table: ResultTable | None = None) -> Resu
         table.add_row(**row)
         ns.append(n)
         l2s.append(None if norms is None else norms.l2)
-    table.meta.setdefault("fitted_l2_order", {})[config.scheme] = _fit_order(ns, l2s)
-    if own_table and config.out_dir is not None:
-        table.to_csv(config.out_dir / f"convergence_{config.scheme}.csv")
+    table.meta["fitted_l2_order"] = {config.scheme: _fit_order(ns, l2s)}
     return table
 
 
 def run_compare(config: RunConfig) -> ResultTable:
     """Modal P1 against both second-order FV slope variants, one table."""
     table = ResultTable("compare", _CONV_COLUMNS)
+    orders = table.meta["fitted_l2_order"] = {}
     for scheme in ("dg-p1", "fv2-central", "fv2-upwind"):
-        sub = RunConfig(
-            scheme=scheme,
-            grids=config.grids,
-            cfl=config.cfl,
-            periods=config.periods,
-            ic=config.ic,
-            integrator=config.integrator,
-            seed=config.seed,
-        )
-        run_convergence(sub, table=table)
-    if config.out_dir is not None:
-        table.to_csv(config.out_dir / "compare.csv")
+        part = run_convergence(replace(config, scheme=scheme))
+        table.rows.extend(part.rows)
+        orders.update(part.meta["fitted_l2_order"])
     return table
 
 
@@ -431,8 +413,6 @@ def run_residual(config: RunConfig) -> ResultTable:
                     "estimates": estimates,
                     "deriv_order": deriv_order,
                 }
-    if config.out_dir is not None:
-        table.to_csv(config.out_dir / f"residual_{config.scheme}.csv")
     return table
 
 
@@ -489,18 +469,17 @@ def check_residual(table: ResultTable, n_finest: int = 2) -> list[str]:
 _SPECTRUM_COLUMNS = ("degree", "theta", "branch", "re", "im")
 
 
-def run_spectrum(
-    degrees: Sequence[int] = (0, 1, 2),
-    n_theta: int = SPECTRUM_SAMPLES,
-    out_dir: Path | None = None,
-) -> ResultTable:
+def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAMPLES) -> ResultTable:
     """Eigenvalues of the per-cell generator G(theta) over a theta grid.
 
+    The table is named spectrum_p<k> for a single degree k, else spectrum.
     Rows are sorted by (re, im) within each theta for deterministic output.
     meta['max_re'] maps degree -> max real part over all samples;
     meta['theta0'] maps degree -> the sorted eigenvalues at theta = 0.
     """
-    table = ResultTable("spectrum", _SPECTRUM_COLUMNS)
+    degrees = tuple(degrees)
+    name = f"spectrum_p{degrees[0]}" if len(degrees) == 1 else "spectrum"
+    table = ResultTable(name, _SPECTRUM_COLUMNS)
     max_re = table.meta.setdefault("max_re", {})
     theta0 = table.meta.setdefault("theta0", {})
     for degree in degrees:
@@ -517,10 +496,6 @@ def run_spectrum(
                 )
                 worst = max(worst, float(z.real))
         max_re[degree] = worst
-    if out_dir is not None:
-        degrees = tuple(degrees)
-        name = "spectrum.csv" if len(degrees) != 1 else f"spectrum_p{degrees[0]}.csv"
-        table.to_csv(Path(out_dir) / name)
     return table
 
 
@@ -550,10 +525,7 @@ def check_spectrum(table: ResultTable) -> list[str]:
 _CORRECTION_COLUMNS = ("N", "dx", "cmax", "ratio", "exact", "measured", "rel_err")
 
 
-def run_correction(
-    grids: Sequence[int] = (20, 40, 80, 160, 320),
-    out_dir: Path | None = None,
-) -> ResultTable:
+def run_correction(grids: Sequence[int] = (20, 40, 80, 160, 320)) -> ResultTable:
     """Discrete curvature defect against its exact leading coefficient.
 
     Uses the sine profile, fits C_j to u'''' dx^2 per grid, and tracks the
@@ -587,8 +559,6 @@ def run_correction(
             measured=measured,
             rel_err=abs(measured - exact) / abs(exact),
         )
-    if out_dir is not None:
-        table.to_csv(Path(out_dir) / "correction.csv")
     return table
 
 
@@ -628,3 +598,44 @@ def taylor_statements() -> list[str]:
         f" + O(h^{series.h_power(p) + 2})"
     )
     return lines
+
+
+#: Frozen h-power coefficients of the exact laws, keyed by (degree, mode, moment).
+_FROZEN_LAWS = {
+    (1, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(1, 24)},
+    (1, UPWIND_TRACE, 1): {0: Fraction(0), 1: Fraction(-2, 5)},
+    (1, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
+    (1, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
+    (2, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
+    (2, UPWIND_TRACE, 1): {0: Fraction(-1), 1: Fraction(1, 10)},
+    (2, UPWIND_TRACE, 2): {0: Fraction(-1), 1: Fraction(1, 2)},
+    (2, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
+    (2, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
+    (2, EXACT_POINT, 2): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 56)},
+}
+
+
+def check_taylor() -> list[str]:
+    """Exact evolution laws and the correction series against frozen values."""
+    laws = {}
+    for degree in (1, 2):
+        for mode in MODES:
+            for law in moment_evolution_laws(StencilSpec(degree, mode)):
+                laws[(degree, mode, law.moment)] = law
+    failures = []
+    for key, wanted in _FROZEN_LAWS.items():
+        law = laws[key]
+        for h_power, want in wanted.items():
+            got = law.coefficient(h_power)
+            if got != want:
+                failures.append(
+                    f"k={key[0]} {key[1]} a{key[2]}: h^{h_power} coefficient {got}, expected {want}"
+                )
+    statement = laws[(1, UPWIND_TRACE, 1)].statement()
+    wanted_statement = "u_xt = 0*u_xx + (-2/5)*h*u_xxx + O(h^2)"
+    if statement != wanted_statement:
+        failures.append(f"degenerate first-moment law renders as {statement!r}")
+    lead = correction_series().leading()
+    if lead is None or lead[0] != 4 or lead[1].rational_value() != Fraction(1, 96):
+        failures.append(f"correction series leads with {lead}, expected h^2 coefficient 1/96")
+    return failures

@@ -57,8 +57,7 @@ class ModalBasis:
     """
 
     def __init__(self, degree: int) -> None:
-        if degree not in (0, 1, 2):
-            raise ValueError(f"degree must be 0, 1 or 2, got {degree}")
+        _exact.check_degree(degree)
         self._degree = degree
         polys = _exact.basis_polynomials(degree)
         n = degree + 1

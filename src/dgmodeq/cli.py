@@ -9,27 +9,31 @@ Subcommands map one-to-one onto the drivers in analysis.py:
     compare       modal P1 against both second-order FV slope choices
     taylor        print the exact evolution laws
 
-All study subcommands accept --out DIR to write deterministic CSV files and
---assert to exit nonzero unless the documented acceptance bands hold.
-Settings may come from a config file of key=value lines; command line flags
-override the file, the file overrides built-in defaults.
+Every subcommand accepts --assert to exit nonzero unless the documented
+acceptance bands hold.  The study subcommands also accept --out DIR: the
+driver returns its table and this module writes it there as CSV
+(ResultTable.write_csv), then prints the path.  Settings may come from a
+config file of key=value lines; command line flags override the file, the
+file overrides built-in defaults.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
     EOC_BANDS,
     SCHEMES,
     SPECTRUM_SAMPLES,
+    ResultTable,
     RunConfig,
     check_convergence,
     check_correction,
     check_residual,
     check_spectrum,
+    check_taylor,
     initial_condition,
     run_compare,
     run_convergence,
@@ -38,17 +42,9 @@ from .analysis import (
     run_spectrum,
     taylor_statements,
 )
-from .exact import (
-    EXACT_POINT,
-    MODES,
-    UPWIND_TRACE,
-    StencilSpec,
-    correction_series,
-    moment_evolution_laws,
-)
 from .timestepping import METHODS
 
-_CONFIG_KEYS = ("scheme", "grids", "cfl", "periods", "ic", "integrator", "out", "seed")
+_CONFIG_KEYS = ("scheme", "grids", "cfl", "periods", "ic", "integrator", "out")
 
 _DEFAULTS = {
     "scheme": "dg-p1",
@@ -58,7 +54,6 @@ _DEFAULTS = {
     "ic": "sine",
     "integrator": "ssprk3",
     "out": None,
-    "seed": 0,
 }
 
 _SPECTRUM_DEGREE = {"dg-p1": 1, "dg-p2": 2, "fv1": 0}
@@ -93,8 +88,6 @@ def _coerce(key: str, value: str):
         return _parse_grids(value)
     if key in ("cfl", "periods"):
         return float(value)
-    if key == "seed":
-        return int(value)
     return value
 
 
@@ -117,18 +110,12 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set[str]]:
 
 
 def _run_config(merged: dict, **overrides) -> RunConfig:
-    settings = {
-        "scheme": merged["scheme"],
-        "grids": merged["grids"],
-        "cfl": merged["cfl"],
-        "periods": merged["periods"],
-        "ic": merged["ic"],
-        "integrator": merged["integrator"],
-        "out_dir": merged["out"],
-        "seed": merged["seed"],
-    }
-    settings.update(overrides)
-    return RunConfig(**settings)
+    return RunConfig(**{f.name: overrides.get(f.name, merged[f.name]) for f in fields(RunConfig)})
+
+
+def _write(table: ResultTable, merged: dict) -> None:
+    if merged["out"] is not None:
+        print(f"wrote {table.write_csv(merged['out'])}")
 
 
 def _report(failures: list[str], label: str) -> int:
@@ -164,8 +151,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     order = table.meta["fitted_l2_order"][config.scheme]
     if order is not None:
         print(f"fitted L2 order: {order:.4f}")
-    if config.out_dir is not None:
-        print(f"wrote {config.out_dir / ('convergence_' + config.scheme + '.csv')}")
+    _write(table, merged)
     if args.check:
         return _report(check_convergence(table), f"{config.scheme} order within {EOC_BANDS[config.scheme]}")
     return 0
@@ -181,8 +167,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for scheme, order in table.meta["fitted_l2_order"].items():
         if order is not None:
             print(f"fitted L2 order {scheme}: {order:.4f}")
-    if config.out_dir is not None:
-        print(f"wrote {config.out_dir / 'compare.csv'}")
+    _write(table, merged)
     if args.check:
         return _report(check_convergence(table), "compared schemes within their order bands")
     return 0
@@ -190,11 +175,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_residual(args: argparse.Namespace) -> int:
     merged, _ = _resolve(args)
-    config = _run_config(merged)
-    table = run_residual(config)
+    table = run_residual(_run_config(merged))
     print(table.format_text())
-    if config.out_dir is not None:
-        print(f"wrote {config.out_dir / ('residual_' + config.scheme + '.csv')}")
+    _write(table, merged)
     if args.check:
         return _report(
             check_residual(table),
@@ -214,16 +197,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         degrees: tuple[int, ...] = (_SPECTRUM_DEGREE[scheme],)
     else:
         degrees = (0, 1, 2)
-    out_dir = Path(merged["out"]) if merged["out"] is not None else None
-    table = run_spectrum(degrees, out_dir=out_dir)
+    table = run_spectrum(degrees)
     for degree in degrees:
         print(f"degree {degree}: max Re over {SPECTRUM_SAMPLES} samples"
               f" = {table.meta['max_re'][degree]:.3e}")
         eigs = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in table.meta["theta0"][degree])
         print(f"degree {degree}: theta=0 eigenvalues {eigs}")
-    if out_dir is not None:
-        name = "spectrum.csv" if len(degrees) != 1 else f"spectrum_p{degrees[0]}.csv"
-        print(f"wrote {out_dir / name}")
+    _write(table, merged)
     if args.check:
         return _report(check_spectrum(table), "no eigenvalue crosses the imaginary axis")
     return 0
@@ -231,59 +211,20 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_correction(args: argparse.Namespace) -> int:
     merged, _ = _resolve(args)
-    out_dir = Path(merged["out"]) if merged["out"] is not None else None
-    table = run_correction(merged["grids"], out_dir=out_dir)
+    table = run_correction(merged["grids"])
     print(table.format_text())
     print(f"exact leading coefficient: {table.meta['exact_fraction']}")
-    if out_dir is not None:
-        print(f"wrote {out_dir / 'correction.csv'}")
+    _write(table, merged)
     if args.check:
         return _report(check_correction(table), "correction defect matches its leading term")
     return 0
-
-
-def _taylor_failures() -> list[str]:
-    expected = {
-        (1, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(1, 24)},
-        (1, UPWIND_TRACE, 1): {0: Fraction(0), 1: Fraction(-2, 5)},
-        (1, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
-        (1, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
-        (2, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
-        (2, UPWIND_TRACE, 1): {0: Fraction(-1), 1: Fraction(1, 10)},
-        (2, UPWIND_TRACE, 2): {0: Fraction(-1), 1: Fraction(1, 2)},
-        (2, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
-        (2, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
-        (2, EXACT_POINT, 2): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 56)},
-    }
-    laws = {}
-    for degree in (1, 2):
-        for mode in MODES:
-            for law in moment_evolution_laws(StencilSpec(degree, mode)):
-                laws[(degree, mode, law.moment)] = law
-    failures = []
-    for key, wanted in expected.items():
-        law = laws[key]
-        for h_power, want in wanted.items():
-            got = law.coefficient(h_power)
-            if got != want:
-                failures.append(
-                    f"k={key[0]} {key[1]} a{key[2]}: h^{h_power} coefficient {got}, expected {want}"
-                )
-    statement = laws[(1, UPWIND_TRACE, 1)].statement()
-    wanted_statement = "u_xt = 0*u_xx + (-2/5)*h*u_xxx + O(h^2)"
-    if statement != wanted_statement:
-        failures.append(f"degenerate first-moment law renders as {statement!r}")
-    lead = correction_series().leading()
-    if lead is None or lead[0] != 4 or lead[1].rational_value() != Fraction(1, 96):
-        failures.append(f"correction series leads with {lead}, expected h^2 coefficient 1/96")
-    return failures
 
 
 def _cmd_taylor(args: argparse.Namespace) -> int:
     for line in taylor_statements():
         print(line)
     if args.check:
-        return _report(_taylor_failures(), "exact evolution laws match their frozen values")
+        return _report(check_taylor(), "exact evolution laws match their frozen values")
     return 0
 
 
@@ -301,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="directory for CSV output")
     common.add_argument("--config", help="file of key=value settings; flags override it")
-    common.add_argument("--seed", type=int, help="seed for any randomized helper (default 0)")
     common.add_argument(
         "--assert",
         dest="check",

@@ -84,23 +84,12 @@ def update_matrices(degree: int) -> UpdateMatrices:
     return UpdateMatrices(degree=degree, a_exact=a_exact, b_exact=b_exact, a=a, b=b)
 
 
-def rhs_matrix(field: ModalField, matrices: UpdateMatrices | None = None) -> ModalField:
+def rhs_matrix(field: ModalField) -> ModalField:
     """Closed-form semi-discrete derivative -(A a^j - B a^{j-1})/dx."""
-    if matrices is None:
-        matrices = update_matrices(field.degree)
-    if matrices.degree != field.degree:
-        raise ValueError(
-            f"matrices are degree {matrices.degree}, field is degree {field.degree}"
-        )
-    return matrices.stencil.apply(field)
+    return update_matrices(field.degree).stencil.apply(field)
 
 
-def rhs_weak(
-    field: ModalField,
-    flux: FluxRule,
-    t: float = 0.0,
-    n_quad: int = DEFAULT_QUAD_NODES,
-) -> ModalField:
+def rhs_weak(field: ModalField, flux: FluxRule, t: float = 0.0) -> ModalField:
     """Weak-form semi-discrete derivative, quadrature route.
 
     For each test function phi_m:
@@ -112,7 +101,7 @@ def rhs_weak(
     """
     mesh = field.mesh
     basis = field.basis
-    nodes, weights = gauss_legendre_halfcell(n_quad)
+    nodes, weights = gauss_legendre_halfcell(DEFAULT_QUAD_NODES)
     u_at_nodes = field.coeffs @ basis.values(nodes).T  # (N, n_quad)
     volume = (u_at_nodes * weights[None, :]) @ basis.derivatives(nodes)
     if isinstance(flux, Upwind):

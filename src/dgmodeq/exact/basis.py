@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 from .numbers import QF, SQRT3, SQRT5
 
@@ -36,14 +37,15 @@ _BASIS_POLYS: dict[int, tuple[tuple[QF, ...], ...]] = {
 }
 
 
-def _check_degree(degree: int) -> None:
-    if degree not in (0, 1, 2):
-        raise ValueError(f"degree must be 0, 1 or 2, got {degree}")
+def check_degree(degree: int) -> None:
+    """Reject anything but an integer basis degree in 0..MAX_DEGREE (bools too)."""
+    if isinstance(degree, bool) or not isinstance(degree, Integral) or not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be an integer from 0 to {MAX_DEGREE}, got {degree!r}")
 
 
 def basis_polynomials(degree: int) -> tuple[tuple[QF, ...], ...]:
     """Exact polynomial coefficients (in xi, ascending) of each basis function."""
-    _check_degree(degree)
+    check_degree(degree)
     return _BASIS_POLYS[degree]
 
 
@@ -134,7 +136,7 @@ def update_matrices_exact(degree: int) -> tuple[tuple[tuple[QF, ...], ...], tupl
         A[m][n] = (phi_m(1/2) phi_n(1/2) - V[m][n]) / M_m
         B[m][n] =  phi_m(-1/2) phi_n(1/2)           / M_m
     """
-    _check_degree(degree)
+    check_degree(degree)
     tr = trace_vector(degree, +1)
     tl = trace_vector(degree, -1)
     vol = volume_matrix(degree)
@@ -160,7 +162,7 @@ def projection_moment(degree: int, m: int, p: int) -> QF:
 
     and this returns the moment ratio (integral phi_m xi^p) / M_m.
     """
-    _check_degree(degree)
+    check_degree(degree)
     polys = basis_polynomials(degree)
     if not 0 <= m < len(polys):
         raise ValueError(f"moment index {m} outside degree-{degree} basis")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import (
+    check_degree,
     mass_diagonal,
     projection_moment,
     trace_vector,
@@ -56,8 +57,7 @@ class StencilSpec:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
-        if self.degree not in (0, 1, 2):
-            raise ValueError(f"degree must be 0, 1 or 2, got {self.degree}")
+        check_degree(self.degree)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.order < MIN_ORDER:

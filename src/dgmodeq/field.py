@@ -47,14 +47,6 @@ class ModalField:
     def with_data(self, arr: np.ndarray) -> ModalField:
         return ModalField(self.mesh, self.basis, arr)
 
-    def trace_right(self, j: int) -> float:
-        """Value at the right edge of cell j (from inside the cell)."""
-        return float(self.coeffs[j] @ self.basis.trace_right)
-
-    def trace_left(self, j: int) -> float:
-        """Value at the left edge of cell j (from inside the cell)."""
-        return float(self.coeffs[j] @ self.basis.trace_left)
-
     def traces_right(self) -> np.ndarray:
         """Right-edge values of every cell; entry j is the upwind value at
         interface j+1."""
@@ -63,15 +55,14 @@ class ModalField:
     def eval(self, x: np.ndarray | float) -> np.ndarray | float:
         """Pointwise values, periodic in x.
 
-        Interface abscissae are routed through the owning (left) cell's
-        trace vector, so eval at (j+1)*dx equals trace_right(j) exactly.
+        Interface abscissae take the owning (left) cell's entry of
+        traces_right(), so eval at (j+1)*dx equals traces_right()[j] exactly.
         """
         x_arr = np.asarray(x, dtype=float)
         cells, xi, on_interface = self.mesh.locate(x_arr % 1.0)
         values = np.einsum("...k,...k->...", self.coeffs[cells], self.basis.values(xi))
         if np.any(on_interface):
-            traces = self.coeffs[cells] @ self.basis.trace_right
-            values = np.where(on_interface, traces, values)
+            values = np.where(on_interface, self.traces_right()[cells], values)
         if np.isscalar(x) or x_arr.ndim == 0:
             return float(values)
         return values
@@ -81,26 +72,35 @@ class ModalField:
         return self.coeffs[:, 0].copy()
 
 
-def project(
-    f: Callable[[np.ndarray], np.ndarray],
-    mesh: Mesh1D,
-    degree: int,
-    n_quad: int = DEFAULT_QUAD_NODES,
-) -> ModalField:
-    """L2 projection of f onto the broken polynomial space of given degree.
+def quadrature_points(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference nodes, weights, and the (n_cells, n_quad) abscissae of every cell."""
+    nodes, weights = gauss_legendre_halfcell(DEFAULT_QUAD_NODES)
+    return nodes, weights, mesh.centers[:, None] + nodes[None, :] * mesh.dx
 
-    a_m^j = (integral over cell j of f phi_m) / (integral phi_m^2), with the
-    integrals done per cell by an n_quad-point Gauss-Legendre rule.
+
+def sample_cells(
+    f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference nodes, weights, and f at every cell's quadrature points.
+
+    Raises ValueError naming the first cell where f is not finite.
     """
-    if n_quad < 4:
-        raise ValueError("projection needs at least 4 quadrature nodes per cell")
-    basis = ModalBasis(degree)
-    nodes, weights = gauss_legendre_halfcell(n_quad)
-    points = mesh.centers[:, None] + nodes[None, :] * mesh.dx
+    nodes, weights, points = quadrature_points(mesh)
     samples = np.broadcast_to(np.asarray(f(points), dtype=float), points.shape)
     if not np.all(np.isfinite(samples)):
         bad = np.argwhere(~np.isfinite(samples))[0]
         raise ValueError(f"initial data is not finite in cell {int(bad[0])}")
+    return nodes, weights, samples
+
+
+def project(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D, degree: int) -> ModalField:
+    """L2 projection of f onto the broken polynomial space of given degree.
+
+    a_m^j = (integral over cell j of f phi_m) / (integral phi_m^2), with the
+    integrals done per cell by the DEFAULT_QUAD_NODES-point Gauss-Legendre rule.
+    """
+    basis = ModalBasis(degree)
+    nodes, weights, samples = sample_cells(f, mesh)
     phi = basis.values(nodes)  # (n_quad, n_dofs)
     coeffs = (samples * weights[None, :]) @ phi / basis.mass[None, :]
     return ModalField(mesh, basis, coeffs)
@@ -112,18 +112,13 @@ class Norms(NamedTuple):
     linf: float
 
 
-def error_norms(
-    field: ModalField,
-    f_exact: Callable[[np.ndarray], np.ndarray],
-    n_quad: int = DEFAULT_QUAD_NODES,
-) -> Norms:
+def error_norms(field: ModalField, f_exact: Callable[[np.ndarray], np.ndarray]) -> Norms:
     """L1/L2/Linf distance between a field and a reference function.
 
     Uses the same per-cell Gauss-Legendre rule as project; Linf is the
     maximum over all quadrature nodes.
     """
-    nodes, weights = gauss_legendre_halfcell(n_quad)
-    points = field.mesh.centers[:, None] + nodes[None, :] * field.mesh.dx
+    nodes, weights, points = quadrature_points(field.mesh)
     phi = field.basis.values(nodes)
     dx = field.mesh.dx
     # A finite but astronomically large field (late stage of an unstable

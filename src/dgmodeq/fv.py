@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import gauss_legendre_halfcell
-from .field import DEFAULT_QUAD_NODES, Norms
+from .field import Norms, sample_cells
 from .mesh import Mesh1D, Stencil
 
 SLOPE_CHOICES = ("central", "upwind")
@@ -57,18 +56,9 @@ class AverageField:
         return AverageField(self.mesh, arr)
 
 
-def project_averages(
-    f: Callable[[np.ndarray], np.ndarray],
-    mesh: Mesh1D,
-    n_quad: int = DEFAULT_QUAD_NODES,
-) -> AverageField:
+def project_averages(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D) -> AverageField:
     """Exact-to-quadrature cell averages of f."""
-    nodes, weights = gauss_legendre_halfcell(n_quad)
-    points = mesh.centers[:, None] + nodes[None, :] * mesh.dx
-    samples = np.broadcast_to(np.asarray(f(points), dtype=float), points.shape)
-    if not np.all(np.isfinite(samples)):
-        bad = np.argwhere(~np.isfinite(samples))[0]
-        raise ValueError(f"initial data is not finite in cell {int(bad[0])}")
+    _, weights, samples = sample_cells(f, mesh)
     return AverageField(mesh, samples @ weights)
 
 
@@ -97,13 +87,9 @@ def total_variation(field: AverageField) -> float:
     return float(np.sum(np.abs(u - np.roll(u, 1))))
 
 
-def average_error_norms(
-    field: AverageField,
-    f_exact: Callable[[np.ndarray], np.ndarray],
-    n_quad: int = DEFAULT_QUAD_NODES,
-) -> Norms:
+def average_error_norms(field: AverageField, f_exact: Callable[[np.ndarray], np.ndarray]) -> Norms:
     """Discrete norms of (averages - exact cell averages)."""
-    exact = project_averages(f_exact, field.mesh, n_quad)
+    exact = project_averages(f_exact, field.mesh)
     diff = field.values - exact.values
     dx = field.mesh.dx
     return Norms(

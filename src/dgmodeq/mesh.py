@@ -60,10 +60,6 @@ class Mesh1D:
         xi = np.where(on_interface, 0.5, r - np.floor(r) - 0.5)
         return idx, xi, on_interface
 
-    def cell_of(self, x: np.ndarray | float) -> np.ndarray:
-        """Owning cell index for each point, interfaces resolving left."""
-        return self.locate(x)[0]
-
 
 class Stencil:
     """Periodic, constant-coefficient linear operator on a uniform mesh.

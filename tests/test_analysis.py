@@ -1,4 +1,6 @@
 """Study drivers and the command line wrapper around them."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from dgmodeq.analysis import (
     check_correction,
     check_residual,
     check_spectrum,
+    check_taylor,
 )
 from dgmodeq.cli import main, parse_config_file
 
@@ -157,23 +160,46 @@ def test_compare_combines_three_schemes():
 
 
 def test_csv_determinism(tmp_path):
-    cfg = RunConfig("fv1", (10, 20), out_dir=tmp_path)
-    run_convergence(cfg)
-    first = (tmp_path / "convergence_fv1.csv").read_bytes()
-    run_convergence(cfg)
-    assert (tmp_path / "convergence_fv1.csv").read_bytes() == first
+    cfg = RunConfig("fv1", (10, 20))
+    path = run_convergence(cfg).write_csv(tmp_path)
+    assert path == tmp_path / "convergence_fv1.csv"
+    first = path.read_bytes()
+    assert run_convergence(cfg).write_csv(tmp_path).read_bytes() == first
     header = first.decode().splitlines()[0]
     assert header.split(",")[:6] == ["scheme", "N", "dx", "l1", "l2", "linf"]
     assert "wall" not in header  # timings stay out of the deterministic file
 
 
 def test_csv_written_for_each_study(tmp_path):
-    run_residual(RunConfig("dg-p1", (20, 40), out_dir=tmp_path))
-    run_spectrum((2,), out_dir=tmp_path)
-    run_correction((20, 40), out_dir=tmp_path)
-    run_compare(RunConfig("dg-p1", (10, 20), out_dir=tmp_path))
-    for name in ("residual_dg-p1.csv", "spectrum_p2.csv", "correction.csv", "compare.csv"):
-        assert (tmp_path / name).exists(), name
+    tables = {
+        "residual_dg-p1.csv": run_residual(RunConfig("dg-p1", (20, 40))),
+        "spectrum_p2.csv": run_spectrum((2,)),
+        "spectrum.csv": run_spectrum((1, 2), n_theta=4),
+        "correction.csv": run_correction((20, 40)),
+        "compare.csv": run_compare(RunConfig("dg-p1", (10, 20))),
+    }
+    for name, table in tables.items():
+        path = table.write_csv(tmp_path / "sub")
+        assert path == tmp_path / "sub" / name
+        assert path.read_text() == table.csv_text()
+
+
+def test_run_config_has_only_study_settings():
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert names == ["scheme", "grids", "cfl", "periods", "ic", "integrator"]
+
+
+def test_compare_merges_three_convergence_runs():
+    config = RunConfig("dg-p1", (10, 20))
+    table = run_compare(config)
+    expected_rows, expected_orders = [], {}
+    for scheme in ("dg-p1", "fv2-central", "fv2-upwind"):
+        part = run_convergence(dataclasses.replace(config, scheme=scheme))
+        expected_rows += part.rows
+        expected_orders.update(part.meta["fitted_l2_order"])
+    assert table.rows == expected_rows
+    assert table.meta["fitted_l2_order"] == expected_orders
+    assert list(expected_orders) == ["dg-p1", "fv2-central", "fv2-upwind"]
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +215,10 @@ def test_cli_taylor_contains_frozen_line(capsys):
 def test_cli_taylor_assert(capsys):
     assert main(["taylor", "--assert"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_check_taylor_passes():
+    assert check_taylor() == []
 
 
 def test_cli_convergence_writes_csv(tmp_path, capsys):
@@ -251,3 +281,17 @@ def test_cli_unknown_config_key(tmp_path, capsys):
     cfg.write_text("speed = 2\n")
     assert main(["convergence", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_cli_seed_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--grids", "10,20", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_seed_config_key_removed(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("grids = 10,20\nseed = 0\n")
+    assert main(["convergence", "--config", str(cfg)]) == 2
+    assert "unknown key 'seed'" in capsys.readouterr().err

@@ -134,12 +134,6 @@ def test_flux_rule_type_checked():
         rhs_weak(field, "upwind")
 
 
-def test_degree_mismatch_rejected():
-    field = random_field(8, 1, seed=0)
-    with pytest.raises(ValueError):
-        rhs_matrix(field, update_matrices(2))
-
-
 def test_symbol_k1_theta0():
     g = symbol(0.0, 1)
     assert np.allclose(g, [[0.0, 0.0], [0.0, -6.0]], atol=1e-15)

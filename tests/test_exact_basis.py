@@ -8,9 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from dgmodeq.exact import QF, update_matrices_exact
+from dgmodeq.basis import ModalBasis
+from dgmodeq.exact import QF, UPWIND_TRACE, StencilSpec, update_matrices_exact
 from dgmodeq.exact.basis import (
+    MAX_DEGREE,
     basis_polynomials,
+    check_degree,
     mass_diagonal,
     poly_derivative,
     poly_eval,
@@ -139,3 +142,24 @@ def test_degree_out_of_range():
         update_matrices_exact(3)
     with pytest.raises(ValueError):
         mass_diagonal(-1)
+
+
+DEGREE_CONSTRUCTORS = {
+    "ModalBasis": ModalBasis,
+    "StencilSpec": lambda degree: StencilSpec(degree, UPWIND_TRACE),
+}
+
+
+@pytest.mark.parametrize("make", DEGREE_CONSTRUCTORS.values(), ids=DEGREE_CONSTRUCTORS.keys())
+@pytest.mark.parametrize("degree", [3, -1, 1.0, True], ids=repr)
+def test_degree_guard_rejects(make, degree):
+    # 1.0 and True compare equal to a valid degree; the guard must still refuse them
+    with pytest.raises(ValueError, match="degree"):
+        make(degree)
+
+
+def test_degree_guard_accepts_integers():
+    for degree in range(MAX_DEGREE + 1):
+        check_degree(degree)
+        assert ModalBasis(degree).degree == degree
+        assert StencilSpec(degree, UPWIND_TRACE).degree == degree
