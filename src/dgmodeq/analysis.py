@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -51,6 +52,8 @@ EOC_BANDS = {
     "fv2-upwind": (1.8, 2.2),
 }
 
+#: Cell counts of the convergence, residual and correction studies by default.
+DEFAULT_GRIDS = (20, 40, 80, 160, 320)
 SPECTRUM_SAMPLES = 256
 SPECTRUM_RE_TOL = 1e-12
 RESIDUAL_RTOL = 1e-2
@@ -122,8 +125,8 @@ def exact_solution(ic: InitialCondition, t: float) -> Callable[[np.ndarray], np.
 class RunConfig:
     """One study configuration; fully determines every output byte."""
 
-    scheme: str
-    grids: tuple[int, ...]
+    scheme: str = "dg-p1"
+    grids: tuple[int, ...] = DEFAULT_GRIDS
     cfl: float = 0.1
     periods: float = 1.0
     ic: str = "sine"
@@ -132,6 +135,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if any(isinstance(n, bool) or not isinstance(n, Integral) for n in self.grids):
+            raise ValueError(f"grids must be integer cell counts, got {tuple(self.grids)!r}")
         grids = tuple(int(n) for n in self.grids)
         if not grids or any(n < 1 for n in grids):
             raise ValueError(f"grids must be positive cell counts, got {grids}")
@@ -478,6 +483,10 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
     meta['theta0'] maps degree -> the sorted eigenvalues at theta = 0.
     """
     degrees = tuple(degrees)
+    if not degrees:
+        raise ValueError("spectrum needs at least one degree")
+    if n_theta < 1:
+        raise ValueError(f"spectrum needs at least one theta sample, got n_theta={n_theta}")
     name = f"spectrum_p{degrees[0]}" if len(degrees) == 1 else "spectrum"
     table = ResultTable(name, _SPECTRUM_COLUMNS)
     max_re = table.meta.setdefault("max_re", {})
@@ -525,12 +534,15 @@ def check_spectrum(table: ResultTable) -> list[str]:
 _CORRECTION_COLUMNS = ("N", "dx", "cmax", "ratio", "exact", "measured", "rel_err")
 
 
-def run_correction(grids: Sequence[int] = (20, 40, 80, 160, 320)) -> ResultTable:
+def run_correction(grids: Sequence[int] = DEFAULT_GRIDS) -> ResultTable:
     """Discrete curvature defect against its exact leading coefficient.
 
     Uses the sine profile, fits C_j to u'''' dx^2 per grid, and tracks the
     decay ratio of max|C| under refinement (4.0 for an O(dx^2) defect).
     """
+    grids = tuple(grids)
+    if not grids:
+        raise ValueError("correction study needs at least one grid")
     series = correction_series()
     lead = series.leading()
     assert lead is not None

@@ -1,33 +1,37 @@
 """Command line front end.
 
-Subcommands map one-to-one onto the drivers in analysis.py:
+Subcommands map one-to-one onto the drivers in analysis.py.  _STUDIES names
+the settings each one reads, and that one table gives both its flags and the
+keys its config file accepts:
 
-    convergence   grid-refinement error study for one scheme
-    residual      measure modified-equation coefficients from the operator
-    spectrum      eigenvalues of the per-wavenumber generator
-    correction    discrete curvature defect and its leading coefficient
-    compare       modal P1 against both second-order FV slope choices
-    taylor        print the exact evolution laws
+    subcommand    settings it reads                       study
+    convergence   scheme grids cfl periods ic integrator  grid refinement errors, one scheme
+    compare       grids cfl periods ic integrator         modal P1 against both FV slopes
+    residual      scheme grids                            evolution-law coefficients
+    spectrum      scheme                                  generator eigenvalues
+    correction    grids                                   discrete curvature defect
+    taylor        (none)                                  the exact evolution laws
 
-Every subcommand accepts --assert to exit nonzero unless the documented
-acceptance bands hold.  The study subcommands also accept --out DIR: the
-driver returns its table and this module writes it there as CSV
-(ResultTable.write_csv), then prints the path.  Settings may come from a
-config file of key=value lines; command line flags override the file, the
-file overrides built-in defaults.
+A flag the subcommand does not read is refused by argparse (exit 2), and so
+is such a key in its config file.  A setting that is not given keeps the
+driver's own default (RunConfig, run_spectrum, run_correction).  Every study
+subcommand also takes --out DIR, which writes its table as CSV
+(ResultTable.write_csv) and prints the path, and --config FILE, a file of
+key=value lines with the same keys plus out; flags override the file.  Every
+subcommand, taylor included, takes --assert: exit 1 unless the documented
+acceptance bands hold.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
+from typing import Sequence
 
 from .analysis import (
     EOC_BANDS,
     SCHEMES,
     SPECTRUM_SAMPLES,
-    ResultTable,
     RunConfig,
     check_convergence,
     check_correction,
@@ -44,18 +48,6 @@ from .analysis import (
 )
 from .timestepping import METHODS
 
-_CONFIG_KEYS = ("scheme", "grids", "cfl", "periods", "ic", "integrator", "out")
-
-_DEFAULTS = {
-    "scheme": "dg-p1",
-    "grids": (20, 40, 80, 160, 320),
-    "cfl": 0.1,
-    "periods": 1.0,
-    "ic": "sine",
-    "integrator": "ssprk3",
-    "out": None,
-}
-
 _SPECTRUM_DEGREE = {"dg-p1": 1, "dg-p2": 2, "fv1": 0}
 
 
@@ -66,8 +58,21 @@ def _parse_grids(text: str) -> tuple[int, ...]:
         raise ValueError(f"grids must be comma separated integers, got {text!r}") from exc
 
 
-def parse_config_file(path: Path | str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
+#: Every setting a subcommand can read: the parser of its value (a config
+#: file's text, or the flag's value) and the keywords of its flag.
+_SETTINGS = {
+    "scheme": (str, {"choices": SCHEMES, "help": "spatial scheme (default dg-p1; spectrum: all)"}),
+    "grids": (_parse_grids, {"help": "comma separated cell counts, e.g. 20,40,80"}),
+    "cfl": (float, {"type": float, "help": "time step per cell width (default 0.1)"}),
+    "periods": (float, {"type": float, "help": "number of domain traversals (default 1)"}),
+    "ic": (str, {"help": "initial profile: sine, gauss:SIGMA or step"}),
+    "integrator": (str, {"choices": METHODS, "help": "time stepper (default ssprk3)"}),
+    "out": (str, {"help": "directory for CSV output"}),
+}
+
+
+def parse_config_file(path: Path | str, known: Sequence[str]) -> dict[str, str]:
+    """key=value lines with keys from `known`; blank lines and # comments ignored."""
     path = Path(path)
     values: dict[str, str] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -77,45 +82,21 @@ def parse_config_file(path: Path | str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(known)})")
         values[key] = value
     return values
 
 
-def _coerce(key: str, value: str):
-    if key == "grids":
-        return _parse_grids(value)
-    if key in ("cfl", "periods"):
-        return float(value)
-    return value
-
-
-def _resolve(args: argparse.Namespace) -> tuple[dict, set[str]]:
-    """Merge defaults, config file and flags; track explicitly set keys."""
-    merged = dict(_DEFAULTS)
-    explicit: set[str] = set()
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        for key, text in parse_config_file(config_path).items():
-            merged[key] = _coerce(key, text)
-            explicit.add(key)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        merged[key] = _coerce(key, value) if isinstance(value, str) and key == "grids" else value
-        explicit.add(key)
-    return merged, explicit
-
-
-def _run_config(merged: dict, **overrides) -> RunConfig:
-    return RunConfig(**{f.name: overrides.get(f.name, merged[f.name]) for f in fields(RunConfig)})
-
-
-def _write(table: ResultTable, merged: dict) -> None:
-    if merged["out"] is not None:
-        print(f"wrote {table.write_csv(merged['out'])}")
+def _given(args: argparse.Namespace, keys: Sequence[str]) -> dict:
+    """The settings set in the config file or by flag (the flag wins), parsed."""
+    texts = parse_config_file(args.config, keys) if args.config is not None else {}
+    given = {key: _SETTINGS[key][0](text) for key, text in texts.items()}
+    for key in keys:
+        value = getattr(args, key)
+        if value is not None:
+            given[key] = _SETTINGS[key][0](value)
+    return given
 
 
 def _report(failures: list[str], label: str) -> int:
@@ -127,109 +108,85 @@ def _report(failures: list[str], label: str) -> int:
     return 0
 
 
-def _refuse_rough_ic(check: bool, ic_name: str) -> bool:
-    if check and not initial_condition(ic_name).smooth:
-        print(
-            f"error: --assert bands are calibrated for smooth data; {ic_name!r} is not smooth",
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
 # ----------------------------------------------------------------------
-# handlers
+# handlers: each runs its study on the given settings, prints its own lines,
+# and returns the table (None for taylor) and the label of its --assert PASS
 
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
-    merged, _ = _resolve(args)
-    if _refuse_rough_ic(args.check, merged["ic"]):
-        return 2
-    config = _run_config(merged)
+def _convergence(given: dict):
+    config = RunConfig(**given)
     table = run_convergence(config)
     print(table.format_text())
     order = table.meta["fitted_l2_order"][config.scheme]
     if order is not None:
         print(f"fitted L2 order: {order:.4f}")
-    _write(table, merged)
-    if args.check:
-        return _report(check_convergence(table), f"{config.scheme} order within {EOC_BANDS[config.scheme]}")
-    return 0
+    return table, f"{config.scheme} order within {EOC_BANDS[config.scheme]}"
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    merged, _ = _resolve(args)
-    if _refuse_rough_ic(args.check, merged["ic"]):
-        return 2
-    config = _run_config(merged, scheme="dg-p1")
-    table = run_compare(config)
+def _compare(given: dict):
+    table = run_compare(RunConfig(**given))
     print(table.format_text())
     for scheme, order in table.meta["fitted_l2_order"].items():
         if order is not None:
             print(f"fitted L2 order {scheme}: {order:.4f}")
-    _write(table, merged)
-    if args.check:
-        return _report(check_convergence(table), "compared schemes within their order bands")
-    return 0
+    return table, "compared schemes within their order bands"
 
 
-def _cmd_residual(args: argparse.Namespace) -> int:
-    merged, _ = _resolve(args)
-    table = run_residual(_run_config(merged))
+def _residual(given: dict):
+    table = run_residual(RunConfig(**given))
     print(table.format_text())
-    _write(table, merged)
-    if args.check:
-        return _report(
-            check_residual(table),
-            "measured coefficients within 1% of the exact tables on the finest grids",
-        )
-    return 0
+    return table, "measured coefficients within 1% of the exact tables on the finest grids"
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    merged, explicit = _resolve(args)
-    if "scheme" in explicit:
-        scheme = merged["scheme"]
-        if scheme not in _SPECTRUM_DEGREE:
-            raise ValueError(
-                f"spectrum needs a single-stencil scheme ({', '.join(_SPECTRUM_DEGREE)}), got {scheme!r}"
-            )
-        degrees: tuple[int, ...] = (_SPECTRUM_DEGREE[scheme],)
+def _spectrum(given: dict):
+    scheme = given.get("scheme")
+    if scheme is None:
+        table = run_spectrum()
+    elif scheme in _SPECTRUM_DEGREE:
+        table = run_spectrum((_SPECTRUM_DEGREE[scheme],))
     else:
-        degrees = (0, 1, 2)
-    table = run_spectrum(degrees)
-    for degree in degrees:
-        print(f"degree {degree}: max Re over {SPECTRUM_SAMPLES} samples"
-              f" = {table.meta['max_re'][degree]:.3e}")
+        known = ", ".join(_SPECTRUM_DEGREE)
+        raise ValueError(f"spectrum needs a single-stencil scheme ({known}), got {scheme!r}")
+    for degree, worst in table.meta["max_re"].items():
+        print(f"degree {degree}: max Re over {SPECTRUM_SAMPLES} samples = {worst:.3e}")
         eigs = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in table.meta["theta0"][degree])
         print(f"degree {degree}: theta=0 eigenvalues {eigs}")
-    _write(table, merged)
-    if args.check:
-        return _report(check_spectrum(table), "no eigenvalue crosses the imaginary axis")
-    return 0
+    return table, "no eigenvalue crosses the imaginary axis"
 
 
-def _cmd_correction(args: argparse.Namespace) -> int:
-    merged, _ = _resolve(args)
-    table = run_correction(merged["grids"])
+def _correction(given: dict):
+    table = run_correction(**given)
     print(table.format_text())
     print(f"exact leading coefficient: {table.meta['exact_fraction']}")
-    _write(table, merged)
-    if args.check:
-        return _report(check_correction(table), "correction defect matches its leading term")
-    return 0
+    return table, "correction defect matches its leading term"
 
 
-def _cmd_taylor(args: argparse.Namespace) -> int:
+def _taylor(given: dict):
     for line in taylor_statements():
         print(line)
-    if args.check:
-        return _report(check_taylor(), "exact evolution laws match their frozen values")
-    return 0
+    return None, "exact evolution laws match their frozen values"
 
 
-# ----------------------------------------------------------------------
-# parser
+#: subcommand: (settings it reads, each a flag and a config key; handler;
+#: acceptance check of its table; help).  Any with settings takes --config.
+_STUDIES = {
+    "convergence": (
+        ("scheme", "grids", "cfl", "periods", "ic", "integrator", "out"),
+        _convergence, check_convergence, "grid refinement error study",
+    ),
+    "residual": (
+        ("scheme", "grids", "out"), _residual, check_residual, "measure evolution-law coefficients",
+    ),
+    "spectrum": (
+        ("scheme", "out"), _spectrum, check_spectrum, "generator eigenvalues over wavenumber",
+    ),
+    "correction": (("grids", "out"), _correction, check_correction, "curvature defect study"),
+    "compare": (
+        ("grids", "cfl", "periods", "ic", "integrator", "out"),
+        _compare, check_convergence, "P1 moments against FV slopes",
+    ),
+    "taylor": ((), _taylor, lambda _table: check_taylor(), "print the exact evolution laws"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,45 +195,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Taylor tables and numerical studies for modal advection stencils.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="directory for CSV output")
-    common.add_argument("--config", help="file of key=value settings; flags override it")
-    common.add_argument(
-        "--assert",
-        dest="check",
-        action="store_true",
-        help="verify the documented acceptance bands; exit 1 on any failure",
-    )
-
-    study = argparse.ArgumentParser(add_help=False)
-    study.add_argument("--scheme", choices=SCHEMES, help="spatial scheme (default dg-p1)")
-    study.add_argument("--grids", help="comma separated cell counts, e.g. 20,40,80")
-    study.add_argument("--cfl", type=float, help="time step per cell width (default 0.1)")
-    study.add_argument("--periods", type=float, help="number of domain traversals (default 1)")
-    study.add_argument("--ic", help="initial profile: sine, gauss:SIGMA or step")
-    study.add_argument("--integrator", choices=METHODS, help="time stepper (default ssprk3)")
-
-    p = sub.add_parser("convergence", parents=[common, study], help="grid refinement error study")
-    p.set_defaults(handler=_cmd_convergence)
-    p = sub.add_parser("residual", parents=[common, study], help="measure evolution-law coefficients")
-    p.set_defaults(handler=_cmd_residual)
-    p = sub.add_parser("spectrum", parents=[common, study], help="generator eigenvalues over wavenumber")
-    p.set_defaults(handler=_cmd_spectrum)
-    p = sub.add_parser("correction", parents=[common, study], help="curvature defect study")
-    p.set_defaults(handler=_cmd_correction)
-    p = sub.add_parser("compare", parents=[common, study], help="P1 moments against FV slopes")
-    p.set_defaults(handler=_cmd_compare)
-    p = sub.add_parser("taylor", parents=[common], help="print the exact evolution laws")
-    p.set_defaults(handler=_cmd_taylor)
+    for name, (settings, _, _, help_text) in _STUDIES.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in settings:
+            p.add_argument(f"--{key}", **_SETTINGS[key][1])
+        if settings:
+            p.add_argument("--config", help="file of key=value settings; flags override it")
+        p.add_argument(
+            "--assert",
+            dest="check",
+            action="store_true",
+            help="verify the documented acceptance bands; exit 1 on any failure",
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    settings, run, check, _ = _STUDIES[args.command]
     try:
-        return args.handler(args)
+        given = _given(args, settings) if settings else {}
+        out = given.pop("out", None)
+        ic = given.get("ic")
+        if args.check and ic is not None and not initial_condition(ic).smooth:
+            print(
+                f"error: --assert bands are calibrated for smooth data; {ic!r} is not smooth",
+                file=sys.stderr,
+            )
+            return 2
+        table, label = run(given)
+        if out is not None:
+            print(f"wrote {table.write_csv(out)}")
+        if args.check:
+            return _report(check(table), label)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,15 @@
 """Study drivers and the command line wrapper around them."""
+import argparse
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgmodeq
 from dgmodeq import (
     SCHEMES,
     RunConfig,
@@ -23,7 +29,7 @@ from dgmodeq.analysis import (
     check_spectrum,
     check_taylor,
 )
-from dgmodeq.cli import main, parse_config_file
+from dgmodeq.cli import build_parser, main, parse_config_file
 
 
 def test_initial_condition_parsing():
@@ -65,6 +71,39 @@ def test_run_config_validation():
         RunConfig("dg-p1", (10, 20), integrator="rk4")
     with pytest.raises(ValueError):
         RunConfig("dg-p1", (10, 20), ic="sawtooth")
+
+
+@pytest.mark.parametrize("grids", [(10.7, 20.2), (10.0, 20.0), (True, 2), ("10", "20")])
+def test_run_config_rejects_non_integer_grids(grids):
+    # these used to be truncated or cast silently: (10.7, 20.2) ran as (10, 20)
+    with pytest.raises(ValueError, match="integer"):
+        RunConfig("dg-p1", grids)
+
+
+def test_run_config_accepts_numpy_integer_grids():
+    config = RunConfig("dg-p1", (np.int64(10), np.int32(20)))
+    assert config.grids == (10, 20)
+    assert all(type(n) is int for n in config.grids)
+
+
+def test_run_config_defaults():
+    assert RunConfig() == RunConfig("dg-p1", (20, 40, 80, 160, 320), 0.1, 1.0, "sine", "ssprk3")
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda: run_spectrum((1,), n_theta=0),
+        lambda: run_spectrum((1,), n_theta=-5),
+        lambda: run_spectrum(()),
+        lambda: run_correction(()),
+    ],
+    ids=["n_theta=0", "n_theta=-5", "no-degrees", "no-grids"],
+)
+def test_study_rejects_empty_input(study):
+    # an empty table would read as a PASS of check_spectrum/check_correction on no data
+    with pytest.raises(ValueError):
+        study()
 
 
 @pytest.mark.parametrize("bad", [{"cfl": np.nan}, {"cfl": np.inf}, {"periods": np.nan}, {"periods": np.inf}])
@@ -255,12 +294,12 @@ def test_cli_correction_assert(capsys):
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("# comment\nscheme = dg-p2\ngrids=10,20\n\ncfl = 0.05  # inline\n")
-    values = parse_config_file(cfg)
+    values = parse_config_file(cfg, ("scheme", "grids", "cfl"))
     assert values == {"scheme": "dg-p2", "grids": "10,20", "cfl": "0.05"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("colour = blue\n")
     with pytest.raises(ValueError):
-        parse_config_file(bad)
+        parse_config_file(bad, ("scheme", "grids", "cfl"))
 
 
 def test_cli_flags_override_config(tmp_path, capsys):
@@ -281,6 +320,81 @@ def test_cli_unknown_config_key(tmp_path, capsys):
     cfg.write_text("speed = 2\n")
     assert main(["convergence", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+# What each subcommand reads; every other study flag must be refused.
+CLI_READS = {
+    "convergence": ("scheme", "grids", "cfl", "periods", "ic", "integrator", "out", "config"),
+    "compare": ("grids", "cfl", "periods", "ic", "integrator", "out", "config"),
+    "residual": ("scheme", "grids", "out", "config"),
+    "spectrum": ("scheme", "out", "config"),
+    "correction": ("grids", "out", "config"),
+    "taylor": (),
+}
+CLI_FLAG_VALUES = {
+    "scheme": "dg-p1",
+    "grids": "10,20",
+    "cfl": "0.2",
+    "periods": "1",
+    "ic": "sine",
+    "integrator": "euler",
+    "out": "results",
+    "config": "study.cfg",
+}
+CLI_UNREAD = [
+    (command, flag)
+    for command, reads in CLI_READS.items()
+    for flag in CLI_FLAG_VALUES
+    if flag not in reads
+]
+
+
+def test_cli_flag_slots():
+    # every subcommand has exactly the flags it reads: 31 slots, down from 48
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    slots = {
+        name: {opt for action in parser._actions for opt in action.option_strings}
+        - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    expected = {name: {f"--{flag}" for flag in reads} for name, reads in CLI_READS.items()}
+    assert slots == {name: flags | {"--assert"} for name, flags in expected.items()}
+    assert sum(len(flags) for flags in slots.values()) == 31
+
+
+@pytest.mark.parametrize("command,flag", CLI_UNREAD)
+def test_cli_refuses_unread_flag(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}", CLI_FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"--{flag}" in capsys.readouterr().err
+
+
+def test_cli_refuses_unread_config_key(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("grids = 20,40\ncfl = 0.2\n")
+    assert main(["correction", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'cfl'" in err
+    assert "known: grids, out" in err
+
+
+def test_cli_spectrum_scheme_from_config(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"scheme = dg-p2\nout = {tmp_path / 'results'}\n")
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ["spectrum_p2.csv"]
+    out = capsys.readouterr().out
+    assert "degree 2:" in out and "degree 1:" not in out
+
+
+def test_import_does_not_load_cli():
+    code = "import sys, dgmodeq; print('dgmodeq.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(dgmodeq.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_seed_flag_removed(capsys):
