@@ -121,6 +121,30 @@ def exact_solution(ic: InitialCondition, t: float) -> Callable[[np.ndarray], np.
 # configuration and tables
 
 
+def _checked_grids(grids: Sequence[int]) -> tuple[int, ...]:
+    """grids as a tuple of strictly increasing positive cell counts, else ValueError."""
+    if any(isinstance(n, bool) or not isinstance(n, Integral) for n in grids):
+        raise ValueError(f"grids must be integer cell counts, got {tuple(grids)!r}")
+    grids = tuple(int(n) for n in grids)
+    if not grids or any(n < 1 for n in grids):
+        raise ValueError(f"grids must be positive cell counts, got {grids}")
+    if any(b <= a for a, b in zip(grids, grids[1:])):
+        raise ValueError(f"grids must be strictly increasing, got {grids}")
+    return grids
+
+
+def _doubling_grids(grids: Sequence[int]) -> tuple[int, ...]:
+    """_checked_grids, each cell count twice the one before.
+
+    The residual study's Richardson step and the correction study's 4.0
+    decay ratio both assume a refinement factor of 2.
+    """
+    grids = _checked_grids(grids)
+    if any(b != 2 * a for a, b in zip(grids, grids[1:])):
+        raise ValueError(f"this study needs a doubling grid sequence, got {grids}")
+    return grids
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One study configuration; fully determines every output byte."""
@@ -135,14 +159,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if any(isinstance(n, bool) or not isinstance(n, Integral) for n in self.grids):
-            raise ValueError(f"grids must be integer cell counts, got {tuple(self.grids)!r}")
-        grids = tuple(int(n) for n in self.grids)
-        if not grids or any(n < 1 for n in grids):
-            raise ValueError(f"grids must be positive cell counts, got {grids}")
-        if any(b <= a for a, b in zip(grids, grids[1:])):
-            raise ValueError(f"grids must be strictly increasing, got {grids}")
-        object.__setattr__(self, "grids", grids)
+        object.__setattr__(self, "grids", _checked_grids(self.grids))
         if not (math.isfinite(self.cfl) and self.cfl > 0.0):
             raise ValueError(f"cfl must be positive and finite, got {self.cfl}")
         if not (math.isfinite(self.periods) and self.periods >= 0.0):
@@ -150,11 +167,6 @@ class RunConfig:
         if self.integrator not in METHODS:
             raise ValueError(f"integrator must be one of {METHODS}")
         initial_condition(self.ic)  # validates the spec string
-
-    def doubling_grids(self) -> tuple[int, ...]:
-        if any(b != 2 * a for a, b in zip(self.grids, self.grids[1:])):
-            raise ValueError(f"this study needs a doubling grid sequence, got {self.grids}")
-        return self.grids
 
 
 def _fmt_csv(value: object) -> str:
@@ -364,7 +376,7 @@ def run_residual(config: RunConfig) -> ResultTable:
     ic = initial_condition(config.ic)
     if ic.derivative is None:
         raise ValueError(f"residual study needs analytic derivatives; use sine, not {config.ic!r}")
-    grids = config.doubling_grids()
+    grids = _doubling_grids(config.grids)
     degree = DG_DEGREE[config.scheme]
     table = ResultTable(f"residual_{config.scheme}", _RESIDUAL_COLUMNS)
     targets = table.meta.setdefault("targets", {})
@@ -381,11 +393,10 @@ def run_residual(config: RunConfig) -> ResultTable:
             if mode == UPWIND_TRACE:
                 rhs_by_grid[n] = rhs_matrix(field)
             else:
-                rhs_by_grid[n] = rhs_weak(field, ExactInterface(lambda x, t: ic.fn(x)))
+                rhs_by_grid[n] = rhs_weak(field, ExactInterface(ic.fn))
         for m in range(degree + 1):
             law = laws[m]
-            lead_coeff, _ = moment_leading_scale(degree, m)
-            scale = float(lead_coeff)
+            scale = float(moment_leading_scale(degree, m))
             q_lead = next(q for q, c in enumerate(law.coeffs) if c != 0)
             probes = [(q_lead, law.coeffs[q_lead])]
             if q_lead > 0:
@@ -538,11 +549,10 @@ def run_correction(grids: Sequence[int] = DEFAULT_GRIDS) -> ResultTable:
     """Discrete curvature defect against its exact leading coefficient.
 
     Uses the sine profile, fits C_j to u'''' dx^2 per grid, and tracks the
-    decay ratio of max|C| under refinement (4.0 for an O(dx^2) defect).
+    decay ratio of max|C| under refinement (4.0 for an O(dx^2) defect), so
+    the grids must double like the residual study's.
     """
-    grids = tuple(grids)
-    if not grids:
-        raise ValueError("correction study needs at least one grid")
+    grids = _doubling_grids(grids)
     series = correction_series()
     lead = series.leading()
     assert lead is not None
@@ -581,9 +591,10 @@ def check_correction(table: ResultTable, n_finest: int = 2) -> list[str]:
     for n, rel in zip(ns[-n_finest:], rel_errs[-n_finest:]):
         if rel > CORRECTION_RTOL:
             failures.append(f"N={n}: coefficient rel err {rel:.2e} > {CORRECTION_RTOL}")
-    for n, ratio in zip(ns, table.column("ratio")):
-        if ratio is None:
-            continue
+    ratios = [(n, r) for n, r in zip(ns, table.column("ratio")) if r is not None]
+    if not ratios:
+        failures.append("no max|C| decay ratio to check; the study needs at least two grids")
+    for n, ratio in ratios:
         if abs(ratio - 4.0) > CORRECTION_RATIO_TOL:
             failures.append(f"N={n}: max|C| decay ratio {ratio:.3f} not within 4.0 +- 0.1")
     return failures

@@ -5,7 +5,7 @@ can check the other:
 
 * rhs_weak assembles the weak form per test function by quadrature,
   boundary terms from a flux rule (upwind traces or an injected exact
-  interface function);
+  interface function fn(x));
 * rhs_matrix applies the closed-form one-sided update matrices
 
       d a^j/dt = -(A a^j - B a^{j-1}) / dx
@@ -30,7 +30,6 @@ import numpy as np
 
 from .basis import gauss_legendre_halfcell
 from .exact import basis as _exact
-from .exact.numbers import QF
 from .field import DEFAULT_QUAD_NODES, ModalField
 from .mesh import Stencil
 
@@ -42,14 +41,14 @@ class Upwind:
 
 @dataclass(frozen=True)
 class ExactInterface:
-    """Interface values sampled from a supplied function fn(x, t).
+    """Interface values sampled from a supplied function fn(x).
 
     This exists to realize the generic-flux evolution laws at a time
     instant; it is not a usable time-stepping closure (the sampled function
     does not follow the discrete solution).
     """
 
-    fn: Callable[[np.ndarray, float], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray]
 
 
 FluxRule = Upwind | ExactInterface
@@ -57,11 +56,9 @@ FluxRule = Upwind | ExactInterface
 
 @dataclass(frozen=True)
 class UpdateMatrices:
-    """Exact one-sided update matrices and their single float demotion."""
+    """One-sided update matrices, demoted once from their exact entries."""
 
     degree: int
-    a_exact: tuple[tuple[QF, ...], ...]
-    b_exact: tuple[tuple[QF, ...], ...]
     a: np.ndarray
     b: np.ndarray
 
@@ -78,10 +75,10 @@ class UpdateMatrices:
 @lru_cache(maxsize=None)
 def update_matrices(degree: int) -> UpdateMatrices:
     """Assembled update matrices for a degree-0/1/2 basis."""
-    a_exact, b_exact = _exact.update_matrices_exact(degree)
-    a = np.array([[float(entry) for entry in row] for row in a_exact])
-    b = np.array([[float(entry) for entry in row] for row in b_exact])
-    return UpdateMatrices(degree=degree, a_exact=a_exact, b_exact=b_exact, a=a, b=b)
+    exact_a, exact_b = _exact.update_matrices_exact(degree)
+    a = np.array([[float(entry) for entry in row] for row in exact_a])
+    b = np.array([[float(entry) for entry in row] for row in exact_b])
+    return UpdateMatrices(degree=degree, a=a, b=b)
 
 
 def rhs_matrix(field: ModalField) -> ModalField:
@@ -89,7 +86,7 @@ def rhs_matrix(field: ModalField) -> ModalField:
     return update_matrices(field.degree).stencil.apply(field)
 
 
-def rhs_weak(field: ModalField, flux: FluxRule, t: float = 0.0) -> ModalField:
+def rhs_weak(field: ModalField, flux: FluxRule) -> ModalField:
     """Weak-form semi-discrete derivative, quadrature route.
 
     For each test function phi_m:
@@ -111,7 +108,7 @@ def rhs_weak(field: ModalField, flux: FluxRule, t: float = 0.0) -> ModalField:
         u_left = np.roll(u_right, 1)
     elif isinstance(flux, ExactInterface):
         # All n_cells+1 physical abscissae get sampled, 0 and 1 separately.
-        values = np.asarray(flux.fn(mesh.interfaces, t), dtype=float)
+        values = np.asarray(flux.fn(mesh.interfaces), dtype=float)
         if values.shape != mesh.interfaces.shape:
             raise ValueError("interface function must return one value per abscissa")
         u_right = values[1:]

@@ -20,7 +20,6 @@ from .modeq import (
     DerivationError,
     ModifiedPDE,
     StencilSpec,
-    as_modified_pde,
     basis_moments,
     correction_series,
     modified_equation,
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "basis_moments",
     "modified_equation",
-    "as_modified_pde",
     "moment_evolution_laws",
     "moment_leading_scale",
     "correction_series",

@@ -10,10 +10,10 @@ coefficient obeys, with every term exact in Q[sqrt(3), sqrt(5)]:
     exact points:    d a_m/dt = -(1/(h M_m)) [U(x + h/2) phi_m(1/2)
                                  - U(x - h/2) phi_m(-1/2) - sum_n V[m][n] a_n(x)]
 
-as_modified_pde then divides by the leading moment scale of a_m, which must
-leave purely rational coefficients; any surviving surd component means the
-algebra went wrong and raises DerivationError rather than being rounded
-away.
+moment_evolution_laws then divides by the leading moment scale of a_m,
+which must leave purely rational coefficients; any surviving surd component
+means the algebra went wrong and raises DerivationError rather than being
+rounded away.
 """
 from __future__ import annotations
 
@@ -164,74 +164,50 @@ class ModifiedPDE:
         return f"{lhs} = " + " + ".join(parts) + f" + O(h^{n_terms})"
 
 
-def moment_leading_scale(degree: int, m: int) -> tuple[QF, int]:
-    """Leading (coefficient, h power) of the a_m moment series.
+def moment_leading_scale(degree: int, m: int) -> QF:
+    """Leading coefficient of the a_m moment series.
 
-    The moment series of a_m starts at u^(m) h^m; the pair returned here is
-    the scale as_modified_pde divides out.
+    The moment series of a_m starts at u^(m) h^m; moment_evolution_laws
+    divides out this coefficient and h^m.
     """
     lead = projection_moment(degree, m, m) * QF(_inv_factorial(m))
     if lead.is_zero():
         raise DerivationError(f"moment {m} of degree-{degree} basis has no leading term")
-    return lead, m
-
-
-def as_modified_pde(
-    dadt: DerivativeSeries,
-    lead_coeff: QF,
-    lead_power: int,
-    *,
-    degree: int = -1,
-    moment: int = -1,
-    mode: str = "",
-) -> ModifiedPDE:
-    """Divide an evolution series by the a_m leading scale and check rationality.
-
-    dadt must be paired as h_shift = -1 (a single 1/h from the stencil).  The
-    result collects the coefficient of h^q u^(m+1+q) for q = 0.. as exact
-    Fractions.  Terms below the leading scale must vanish identically and
-    every reported coefficient must be rational; violations raise
-    DerivationError because they falsify the derivation itself.
-    """
-    if dadt.h_shift != -1:
-        raise ValueError(f"expected h_shift -1 from the stencil, got {dadt.h_shift}")
-    m = lead_power
-    normalized = dadt.scaled(lead_coeff.reciprocal()).div_h(m)
-    coeffs: list[Fraction] = []
-    for p in range(normalized.order + 1):
-        coeff = normalized.coefficient(p)
-        q = normalized.h_power(p)  # = p - m - 1
-        if q < 0:
-            if not coeff.is_zero():
-                raise DerivationError(
-                    f"inconsistent leading scale: u^({p}) term survives below h^0"
-                )
-            continue
-        if not coeff.is_rational():
-            raise DerivationError(
-                f"irrational coefficient {coeff} at h^{q}; "
-                "normalization should cancel every surd"
-            )
-        coeffs.append(coeff.rational_value())
-    return ModifiedPDE(degree=degree, moment=moment, mode=mode, coeffs=tuple(coeffs))
+    return lead
 
 
 def moment_evolution_laws(spec: StencilSpec) -> list[ModifiedPDE]:
-    """Full pipeline: modified_equation + normalization for every moment."""
-    series = modified_equation(spec)
+    """modified_equation divided by the leading scale of every moment.
+
+    Each d a_m/dt series must be paired as h_shift = -1 (a single 1/h from
+    the stencil).  Its law collects the coefficient of h^q u^(m+1+q) for
+    q = 0.. as exact Fractions.  Terms below the leading scale must vanish
+    identically and every reported coefficient must be rational; violations
+    raise DerivationError because they falsify the derivation itself.
+    """
     out = []
-    for m, dadt in enumerate(series):
-        lead_coeff, lead_power = moment_leading_scale(spec.degree, m)
-        out.append(
-            as_modified_pde(
-                dadt,
-                lead_coeff,
-                lead_power,
-                degree=spec.degree,
-                moment=m,
-                mode=spec.mode,
-            )
-        )
+    for m, dadt in enumerate(modified_equation(spec)):
+        if dadt.h_shift != -1:
+            raise ValueError(f"expected h_shift -1 from the stencil, got {dadt.h_shift}")
+        lead_coeff = moment_leading_scale(spec.degree, m)
+        normalized = dadt.scaled(lead_coeff.reciprocal()).div_h(m)
+        coeffs: list[Fraction] = []
+        for p in range(normalized.order + 1):
+            coeff = normalized.coefficient(p)
+            q = normalized.h_power(p)  # = p - m - 1
+            if q < 0:
+                if not coeff.is_zero():
+                    raise DerivationError(
+                        f"inconsistent leading scale: u^({p}) term survives below h^0"
+                    )
+                continue
+            if not coeff.is_rational():
+                raise DerivationError(
+                    f"irrational coefficient {coeff} at h^{q}; "
+                    "normalization should cancel every surd"
+                )
+            coeffs.append(coeff.rational_value())
+        out.append(ModifiedPDE(degree=spec.degree, moment=m, mode=spec.mode, coeffs=tuple(coeffs)))
     return out
 
 

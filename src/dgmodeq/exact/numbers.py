@@ -155,22 +155,6 @@ class QF:
             return self * QF(1 / o._a)
         return self * o.reciprocal()
 
-    def __rtruediv__(self, other: RationalLike) -> QF:
-        return QF.coerce(other) / self
-
-    def __pow__(self, exponent: int) -> QF:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = QF(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = QF(other)

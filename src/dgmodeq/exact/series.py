@@ -146,11 +146,6 @@ class DerivativeSeries:
         f = QF.coerce(factor)
         return DerivativeSeries([c * f for c in self._coeffs], self._h_shift)
 
-    def __mul__(self, factor: QF | RationalLike) -> DerivativeSeries:
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
     def shift(self, offset: Fraction | int) -> DerivativeSeries:
         """Re-expand the series about x + offset*h (exact Taylor shift).
 

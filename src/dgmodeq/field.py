@@ -1,4 +1,4 @@
-"""Piecewise-polynomial modal fields: projection, traces, evaluation, norms."""
+"""Piecewise-polynomial modal fields: projection, traces, norms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -51,25 +51,6 @@ class ModalField:
         """Right-edge values of every cell; entry j is the upwind value at
         interface j+1."""
         return self.coeffs @ self.basis.trace_right
-
-    def eval(self, x: np.ndarray | float) -> np.ndarray | float:
-        """Pointwise values, periodic in x.
-
-        Interface abscissae take the owning (left) cell's entry of
-        traces_right(), so eval at (j+1)*dx equals traces_right()[j] exactly.
-        """
-        x_arr = np.asarray(x, dtype=float)
-        cells, xi, on_interface = self.mesh.locate(x_arr % 1.0)
-        values = np.einsum("...k,...k->...", self.coeffs[cells], self.basis.values(xi))
-        if np.any(on_interface):
-            values = np.where(on_interface, self.traces_right()[cells], values)
-        if np.isscalar(x) or x_arr.ndim == 0:
-            return float(values)
-        return values
-
-    def cell_averages(self) -> np.ndarray:
-        """Mean value per cell; for these bases that is just coefficient 0."""
-        return self.coeffs[:, 0].copy()
 
 
 def quadrature_points(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

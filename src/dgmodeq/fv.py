@@ -23,8 +23,6 @@ import numpy as np
 from .field import Norms, sample_cells
 from .mesh import Mesh1D, Stencil
 
-SLOPE_CHOICES = ("central", "upwind")
-
 # d ubar_j/dt = -(u_{j+1/2} - u_{j-1/2})/dx expanded into weights of
 # ubar_{j+o} per unit dx, keyed by offset o.
 _FV_WEIGHTS = {
@@ -39,18 +37,14 @@ class AverageField:
     """Cell averages (n_cells,) over a periodic mesh; immutable value object."""
 
     mesh: Mesh1D
-    values: np.ndarray
+    data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
+        arr = np.array(self.data, dtype=float)
         if arr.shape != (self.mesh.n_cells,):
             raise ValueError(f"average shape {arr.shape} != ({self.mesh.n_cells},)")
         arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.values
+        object.__setattr__(self, "data", arr)
 
     def with_data(self, arr: np.ndarray) -> AverageField:
         return AverageField(self.mesh, arr)
@@ -77,20 +71,18 @@ def rhs_fv1(field: AverageField) -> AverageField:
 
 def rhs_fv2(field: AverageField, slope: str = "central") -> AverageField:
     """Unlimited second-order reconstruction with upwind interface flux."""
-    if slope not in SLOPE_CHOICES:
-        raise ValueError(f"slope must be one of {SLOPE_CHOICES}, got {slope!r}")
     return fv_stencil(f"fv2-{slope}").apply(field)
 
 
 def total_variation(field: AverageField) -> float:
-    u = field.values
+    u = field.data
     return float(np.sum(np.abs(u - np.roll(u, 1))))
 
 
 def average_error_norms(field: AverageField, f_exact: Callable[[np.ndarray], np.ndarray]) -> Norms:
     """Discrete norms of (averages - exact cell averages)."""
     exact = project_averages(f_exact, field.mesh)
-    diff = field.values - exact.values
+    diff = field.data - exact.data
     dx = field.mesh.dx
     return Norms(
         float(np.sum(np.abs(diff)) * dx),

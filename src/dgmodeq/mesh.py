@@ -18,8 +18,7 @@ class Mesh1D:
     """n_cells equal cells on the periodic unit interval.
 
     Cell j covers [j*dx, (j+1)*dx] with center (j + 1/2)*dx; interface i
-    sits at i*dx.  Interface points belong to the left cell, matching the
-    upwind trace convention.
+    sits at i*dx.
     """
 
     n_cells: int
@@ -40,25 +39,6 @@ class Mesh1D:
     def interfaces(self) -> np.ndarray:
         """All n_cells + 1 interface abscissae, 0 and 1 both included."""
         return _readonly(np.arange(self.n_cells + 1) / self.n_cells)
-
-    def locate(self, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Owning cell, local coordinate, and interface flag for each point.
-
-        Points within ~64 ulp of an interface are snapped to it, so
-        abscissae computed as (j+1)*dx land exactly on interface j+1; an
-        interface point is owned by its left cell (x=0 wraps to the last
-        cell, whose right edge is x=1 periodically) and gets xi = +1/2.
-        Other points get xi = (x - center)/dx in (-1/2, 1/2).
-        """
-        r = np.asarray(x, dtype=float) * self.n_cells
-        nearest = np.rint(r)
-        on_interface = np.abs(r - nearest) <= 64.0 * np.finfo(float).eps * np.maximum(
-            1.0, np.abs(r)
-        )
-        r = np.where(on_interface, nearest, r)
-        idx = (np.ceil(r).astype(int) - 1) % self.n_cells
-        xi = np.where(on_interface, 0.5, r - np.floor(r) - 0.5)
-        return idx, xi, on_interface
 
 
 class Stencil:

@@ -1,9 +1,10 @@
 """Explicit SSP time integrators over field-like states.
 
-A state only needs a read-only .data ndarray and a .with_data(array)
-constructor, so modal fields, average fields and scalar test states all
-step through the same code.  The right-hand side is a callable
-rhs(state, t) returning a state of the same kind.
+A state only needs a read-only .data ndarray, a .with_data(array)
+constructor and a .mesh (integrate and propagate size dt from it), so modal
+fields, average fields and scalar test states all step through the same
+code.  The right-hand side is a callable rhs(state, t) returning a state of
+the same kind.
 
 Two routes reach t_final on the same integer step schedule:
 
@@ -21,7 +22,7 @@ from typing import Callable, Protocol, TypeVar
 
 import numpy as np
 
-from .mesh import Stencil
+from .mesh import Mesh1D, Stencil
 
 #: Taylor coefficients of each method's stability polynomial R: one step of
 #: y' = L y multiplies y by R(dt L).
@@ -36,6 +37,9 @@ METHODS = tuple(STABILITY)
 class FieldLike(Protocol):
     @property
     def data(self) -> np.ndarray: ...
+
+    @property
+    def mesh(self) -> Mesh1D: ...
 
     def with_data(self, arr: np.ndarray) -> "FieldLike": ...
 

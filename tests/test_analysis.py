@@ -176,6 +176,24 @@ def test_residual_requires_doubling_and_sine():
         run_residual(RunConfig("fv1", (40, 80)))
 
 
+@pytest.mark.parametrize("grids", [(40, 20), (20, 30)])
+def test_correction_requires_doubling(grids):
+    # its ratio column and the 4.0 +- 0.1 decay band assume a doubling ladder
+    with pytest.raises(ValueError):
+        run_correction(grids)
+
+
+@pytest.mark.parametrize("grids, code", [("40,20", 2), ("20,30", 2), ("20", 1)])
+def test_cli_correction_ladder(grids, code, capsys):
+    # a bad ladder is refused before the study runs; a single grid runs but
+    # has no decay ratio, so --assert cannot pass on it
+    assert main(["correction", "--grids", grids, "--assert"]) == code
+    out = capsys.readouterr().out
+    assert "PASS" not in out
+    if code == 1:
+        assert "FAIL: no max|C| decay ratio" in out
+
+
 def test_spectrum_table_and_checks():
     table = run_spectrum()
     assert not check_spectrum(table)
@@ -386,6 +404,13 @@ def test_cli_spectrum_scheme_from_config(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ["spectrum_p2.csv"]
     out = capsys.readouterr().out
     assert "degree 2:" in out and "degree 1:" not in out
+
+
+@pytest.mark.parametrize("module", [dgmodeq, dgmodeq.exact], ids=lambda m: m.__name__)
+def test_export_list_resolves(module):
+    # a stale name breaks only `from dgmodeq import *`, which nothing else runs
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
 
 
 def test_import_does_not_load_cli():

@@ -104,7 +104,7 @@ def test_exact_interface_linear_single_cell():
     # u(x) = x supplied exactly at both ends of one cell: slope derivative
     # vanishes because linear data has no curvature, average sees -u_x = -1
     field = ModalField(Mesh1D(1), ModalBasis(1), np.array([[0.5, 1.0]]))
-    out = rhs_weak(field, ExactInterface(lambda x, t: x))
+    out = rhs_weak(field, ExactInterface(lambda x: x))
     assert out.data[0] == pytest.approx([-1.0, 0.0], abs=1e-13)
 
 
@@ -112,7 +112,7 @@ def test_exact_interface_uses_all_interfaces():
     # endpoints 0 and 1 are sampled separately, no periodic wrap
     seen = []
 
-    def probe(x, t):
+    def probe(x):
         seen.append(np.array(x))
         return np.zeros_like(x)
 
@@ -125,7 +125,7 @@ def test_exact_interface_uses_all_interfaces():
 def test_exact_interface_shape_validated():
     field = project(lambda x: x, Mesh1D(4), 1)
     with pytest.raises(ValueError):
-        rhs_weak(field, ExactInterface(lambda x, t: np.zeros(3)))
+        rhs_weak(field, ExactInterface(lambda x: np.zeros(3)))
 
 
 def test_flux_rule_type_checked():

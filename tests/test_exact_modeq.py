@@ -53,10 +53,10 @@ def test_basis_moment_series(degree, m):
 
 
 def test_moment_leading_scale():
-    assert moment_leading_scale(1, 1) == (R(1), 1)
-    assert moment_leading_scale(2, 1) == (SQ3 / 6, 1)
-    assert moment_leading_scale(2, 2) == (SQ5 / 60, 2)
-    assert moment_leading_scale(2, 0) == (R(1), 0)
+    assert moment_leading_scale(1, 1) == R(1)
+    assert moment_leading_scale(2, 1) == SQ3 / 6
+    assert moment_leading_scale(2, 2) == SQ5 / 60
+    assert moment_leading_scale(2, 0) == R(1)
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_evolution_laws(degree, mode, m):
 
 def test_all_law_coefficients_rational():
     # the surds of the basis cancel against the moment normalization;
-    # as_modified_pde raises DerivationError if any coefficient kept a surd
+    # moment_evolution_laws raises DerivationError if any coefficient kept a surd
     for degree in (1, 2):
         for mode in (UPWIND_TRACE, EXACT_POINT):
             for law in moment_evolution_laws(StencilSpec(degree, mode)):

@@ -83,14 +83,6 @@ def test_rational_value_and_predicates():
 def test_division_by_rational():
     assert SQRT3 / 2 == QF(0, Fraction(1, 2), 0, 0)
     assert (QF.rational(6) * SQRT5) / QF.rational(3) == QF.rational(2) * SQRT5
-    assert 1 / SQRT5 == SQRT5.reciprocal()
-
-
-def test_power():
-    assert (ONE + SQRT3) ** 0 == ONE
-    assert SQRT3**4 == QF.rational(9)
-    x = QF.rational(1, 2) + SQRT15
-    assert x**3 == x * x * x
 
 
 def test_str_forms():

@@ -117,7 +117,7 @@ def test_scaling():
     s = a.scaled(q(1, 2))
     assert s.coefficient(1) == q(1)
     assert s.coefficient(2) == q(2)
-    assert (a * q(0)).leading() is None
+    assert a.scaled(q(0)).leading() is None
 
 
 def test_leading_term():

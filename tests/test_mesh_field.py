@@ -1,4 +1,4 @@
-"""Mesh geometry, L2 projection and pointwise evaluation."""
+"""Mesh geometry, L2 projection and error norms."""
 import numpy as np
 import pytest
 
@@ -13,15 +13,6 @@ def test_mesh_geometry():
     assert mesh.centers.flags.writeable is False
 
 
-def test_mesh_locate_interiors_and_interfaces():
-    mesh = Mesh1D(4)
-    cells, xi, on_if = mesh.locate(np.array([0.1, 0.25, 0.5 - 1e-18, 0.99]))
-    assert list(cells) == [0, 0, 1, 3]
-    assert on_if[1] and on_if[2]
-    assert xi[0] == pytest.approx(-0.1, abs=1e-15)
-    assert xi[1] == 0.5 and xi[2] == 0.5
-
-
 def test_mesh_validation():
     with pytest.raises(ValueError):
         Mesh1D(0)
@@ -33,7 +24,6 @@ def test_project_linear_single_cell():
     mesh = Mesh1D(1)
     field = project(lambda x: x, mesh, 1)
     assert field.data[0] == pytest.approx([0.5, 1.0], abs=1e-15)
-    assert field.eval(0.75) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_project_sine_averages_match_antiderivative():
@@ -51,7 +41,15 @@ def test_projection_idempotent(degree):
     mesh = Mesh1D(5)
     rng = np.random.default_rng(degree)
     field = ModalField(mesh, ModalBasis(degree), rng.standard_normal((5, degree + 1)))
-    again = project(field.eval, mesh, degree)
+
+    def evaluate(x):
+        # project samples only interior quadrature nodes, so every x has
+        # one owning cell and no interface rule is needed
+        cells = np.floor(x / mesh.dx).astype(int)
+        xi = (x - mesh.centers[cells]) / mesh.dx
+        return np.einsum("...k,...k->...", field.coeffs[cells], field.basis.values(xi))
+
+    again = project(evaluate, mesh, degree)
     assert np.max(np.abs(again.data - field.data)) < 1e-13
 
 
@@ -90,31 +88,6 @@ def test_moment_expansion_of_projection():
         res1.append(np.max(np.abs(field.data[:, 1] - d1(xc) * dx - d3(xc) * dx**3 / 40)))
     assert 13.0 < res0[0] / res0[1] < 19.0
     assert 26.0 < res1[0] / res1[1] < 38.0
-
-
-def test_eval_matches_trace_at_interfaces():
-    # interface abscissae are snapped and routed through the owning cell's
-    # right trace so pointwise evaluation and flux traces can never disagree
-    mesh = Mesh1D(8)
-    rng = np.random.default_rng(99)
-    field = ModalField(mesh, ModalBasis(2), rng.standard_normal((8, 3)))
-    traces = field.traces_right()
-    for j in range(8):
-        x = mesh.interfaces[j + 1]
-        assert field.eval(x) == traces[j]
-    # x = 0 wraps to the right trace of the last cell
-    assert field.eval(0.0) == traces[7]
-    assert field.eval(1.0) == traces[7]
-
-
-def test_eval_vectorized_and_periodic():
-    mesh = Mesh1D(4)
-    field = project(lambda x: np.sin(2 * np.pi * x), mesh, 2)
-    xs = np.array([0.1, 1.1, -0.9])
-    vals = field.eval(xs)
-    assert vals.shape == (3,)
-    # wrapping x by whole periods only perturbs the abscissa at ulp level
-    assert np.max(np.abs(vals - vals[0])) < 1e-13
 
 
 def test_field_shape_validation():
@@ -165,12 +138,6 @@ def test_error_norms_scale():
     norms = error_norms(field, lambda x: np.ones_like(x))
     for value in norms:
         assert value == pytest.approx(1.0, abs=1e-13)
-
-
-def test_cell_averages():
-    mesh = Mesh1D(4)
-    field = project(lambda x: x, mesh, 1)
-    assert np.allclose(field.cell_averages(), mesh.centers, atol=1e-14)
 
 
 def test_gauss_legendre_matches_numpy():

@@ -14,12 +14,12 @@ def _old_rhs_matrix(field):
 
 
 def _old_rhs_fv1(field):
-    u = field.values
+    u = field.data
     return -(u - np.roll(u, 1)) / field.mesh.dx
 
 
 def _old_rhs_fv2(field, slope):
-    u = field.values
+    u = field.data
     s = 0.5 * (np.roll(u, -1) - np.roll(u, 1)) if slope == "central" else u - np.roll(u, 1)
     u_face = u + 0.5 * s
     return -(u_face - np.roll(u_face, 1)) / field.mesh.dx
