@@ -123,12 +123,13 @@ def rhs_weak(field: ModalField, flux: FluxRule) -> ModalField:
     return field.with_data(deriv)
 
 
-def symbol(theta: float, degree: int) -> np.ndarray:
+def symbol(theta: np.ndarray | float, degree: int) -> np.ndarray:
     """Wavenumber-domain generator G(theta) = -(A - B exp(-i theta)).
 
     One block of the circulant semi-discrete operator per unit dx; on a mesh
     with spacing dx the mode with phase shift theta per cell evolves with
-    generator G(theta)/dx.
+    generator G(theta)/dx.  theta may be an array: the result has shape
+    theta.shape + (m, m), one generator per sample.
     """
     return update_matrices(degree).stencil.symbol(theta)
 

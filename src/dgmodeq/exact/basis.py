@@ -153,6 +153,7 @@ def update_matrices_exact(degree: int) -> tuple[tuple[tuple[QF, ...], ...], tupl
     return tuple(a_rows), tuple(b_rows)
 
 
+@lru_cache(maxsize=None)
 def projection_moment(degree: int, m: int, p: int) -> QF:
     """Exact weight of u^(p) h^p / p! in the m-th L2 projection coefficient.
 

@@ -9,6 +9,12 @@ update-matrix entries stay exact.  The component product table is closed:
     sqrt(5)*sqrt(15) = 5*sqrt(3)
     sqrt(15)**2      = 15
 
+Products loop over the nonzero components of each operand only, through
+that table, so the single-component values the derivations mostly multiply
+cost one Fraction product instead of sixteen.  Arithmetic results are built
+straight from the Fractions they already hold; only the public constructor
+checks its arguments.
+
 Division is deliberately restricted to rational scalars and to
 single-component values (the only reciprocals the derivations need, e.g.
 1/(q*sqrt(3)) = (1/(3q))*sqrt(3)).  General quartic-field inversion is out
@@ -24,6 +30,17 @@ _SQRT5 = math.sqrt(5.0)
 _SQRT15 = math.sqrt(15.0)
 
 RationalLike = int | Fraction
+
+_ZERO = Fraction(0)
+
+#: _PRODUCT[i][j] = (k, f): component i times component j is f times
+#: component k, components ordered 1, sqrt(3), sqrt(5), sqrt(15).
+_PRODUCT = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, 3), (3, 1), (2, 3)),
+    ((2, 1), (3, 1), (0, 5), (1, 5)),
+    ((3, 1), (2, 3), (1, 5), (0, 15)),
+)
 
 
 def _frac(value: RationalLike) -> Fraction:
@@ -50,6 +67,16 @@ class QF:
         object.__setattr__(self, "_b", _frac(b))
         object.__setattr__(self, "_c", _frac(c))
         object.__setattr__(self, "_d", _frac(d))
+
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> QF:
+        """A QF from four Fractions, unchecked: arithmetic results only."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "_a", a)
+        object.__setattr__(new, "_b", b)
+        object.__setattr__(new, "_c", c)
+        object.__setattr__(new, "_d", d)
+        return new
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QF values are immutable")
@@ -98,30 +125,31 @@ class QF:
 
     def __add__(self, other: QF | RationalLike) -> QF:
         o = QF.coerce(other)
-        return QF(self._a + o._a, self._b + o._b, self._c + o._c, self._d + o._d)
+        return QF._of(self._a + o._a, self._b + o._b, self._c + o._c, self._d + o._d)
 
     __radd__ = __add__
 
     def __sub__(self, other: QF | RationalLike) -> QF:
         o = QF.coerce(other)
-        return QF(self._a - o._a, self._b - o._b, self._c - o._c, self._d - o._d)
+        return QF._of(self._a - o._a, self._b - o._b, self._c - o._c, self._d - o._d)
 
     def __rsub__(self, other: RationalLike) -> QF:
         return QF.coerce(other) - self
 
     def __neg__(self) -> QF:
-        return QF(-self._a, -self._b, -self._c, -self._d)
+        return QF._of(-self._a, -self._b, -self._c, -self._d)
 
     def __mul__(self, other: QF | RationalLike) -> QF:
         o = QF.coerce(other)
-        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
-        a2, b2, c2, d2 = o._a, o._b, o._c, o._d
-        return QF(
-            a1 * a2 + 3 * b1 * b2 + 5 * c1 * c2 + 15 * d1 * d2,
-            a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        right = (o._a, o._b, o._c, o._d)
+        acc = [_ZERO, _ZERO, _ZERO, _ZERO]
+        for x, row in zip((self._a, self._b, self._c, self._d), _PRODUCT):
+            if x:
+                for y, (k, f) in zip(right, row):
+                    if y:
+                        product = x * y
+                        acc[k] += product if f == 1 else product * f
+        return QF._of(*acc)
 
     __rmul__ = __mul__
 

@@ -22,6 +22,8 @@ from dgmodeq import (
     run_spectrum,
 )
 from dgmodeq.analysis import (
+    FIT_GRIDS,
+    ResultTable,
     _fit_order,
     check_convergence,
     check_correction,
@@ -30,6 +32,7 @@ from dgmodeq.analysis import (
     check_taylor,
 )
 from dgmodeq.cli import build_parser, main, parse_config_file
+from dgmodeq.dg import symbol
 
 
 def test_initial_condition_parsing():
@@ -141,6 +144,24 @@ def test_convergence_small_ladder():
     assert not check_convergence(table)
 
 
+def test_fitted_order_uses_finest_grids():
+    table = run_convergence(RunConfig("fv1"))
+    ns, l2s = table.column("N"), table.column("l2")
+    assert len(ns) > FIT_GRIDS
+    order = table.meta["fitted_l2_order"]["fv1"]
+    assert order == _fit_order(ns[-FIT_GRIDS:], l2s[-FIT_GRIDS:])
+    assert order != _fit_order(ns, l2s)
+    assert not check_convergence(table)
+    # fewer grids than FIT_GRIDS: the fit spans all of them
+    pair = run_convergence(RunConfig("fv1", (10, 20)))
+    assert pair.meta["fitted_l2_order"]["fv1"] == _fit_order(pair.column("N"), pair.column("l2"))
+
+
+def test_cli_convergence_fv1_assert_default_ladder(capsys):
+    assert main(["convergence", "--scheme", "fv1", "--assert"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_convergence_records_failure_rows():
     # cfl far above the stability ceiling for long enough that the state
     # overflows: the run must report the blow-up as a row, not raise
@@ -200,6 +221,44 @@ def test_spectrum_table_and_checks():
     assert set(table.meta["max_re"]) == {0, 1, 2}
     # 256 samples x (1 + 2 + 3) branches
     assert len(table.rows) == 256 * 6
+
+
+def _spectrum_by_loop(degrees, n_theta):
+    """The per-theta reference: scalar symbol, eigvals, sorted by (re, im)."""
+    table = ResultTable("ref", ("degree", "theta", "branch", "re", "im"))
+    max_re, theta0 = table.meta.setdefault("max_re", {}), table.meta.setdefault("theta0", {})
+    for degree in degrees:
+        worst = -np.inf
+        for i in range(n_theta):
+            theta = 2.0 * np.pi * i / n_theta
+            eigs = sorted(np.linalg.eigvals(symbol(theta, degree)), key=lambda z: (z.real, z.imag))
+            if i == 0:
+                theta0[degree] = tuple(complex(z) for z in eigs)
+            for branch, z in enumerate(eigs):
+                table.add_row(
+                    degree=degree, theta=theta, branch=branch, re=float(z.real), im=float(z.imag)
+                )
+                worst = max(worst, float(z.real))
+        max_re[degree] = worst
+    return table
+
+
+@pytest.mark.parametrize("degrees", [(0, 1, 2), (0,), (2,)])
+@pytest.mark.parametrize("n_theta", [1, 7, 256])
+def test_spectrum_matches_per_theta_loop(degrees, n_theta):
+    table = run_spectrum(degrees, n_theta)
+    ref = _spectrum_by_loop(degrees, n_theta)
+    assert table.rows == ref.rows
+    assert [tuple(map(type, row)) for row in table.rows] == [
+        tuple(map(type, row)) for row in ref.rows
+    ]
+    assert table.meta == ref.meta
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    for k in degrees:
+        batch = symbol(thetas, k)
+        assert batch.shape == (n_theta, k + 1, k + 1)
+        for i, theta in enumerate(thetas):
+            assert np.array_equal(batch[i], symbol(theta, k))
 
 
 def test_correction_small_grids():
@@ -263,10 +322,27 @@ def test_compare_merges_three_convergence_runs():
 # command line
 
 
+TAYLOR_STDOUT = """\
+k=1 upwind a0: u_t = (-1)*u_x + 0*h*u_xx + O(h^2)
+k=1 upwind a1: u_xt = 0*u_xx + (-2/5)*h*u_xxx + O(h^2)
+k=1 exact a0: u_t = (-1)*u_x + 0*h*u_xx + O(h^2)
+k=1 exact a1: u_xt = (-1)*u_xx + 0*h*u_xxx + O(h^2)
+k=2 upwind a0: u_t = (-1)*u_x + 0*h*u_xx + O(h^2)
+k=2 upwind a1: u_xt = (-1)*u_xx + (1/10)*h*u_xxx + O(h^2)
+k=2 upwind a2: u_xxt = (-1)*u_xxx + (1/2)*h*u_xxxx + O(h^2)
+k=2 exact a0: u_t = (-1)*u_x + 0*h*u_xx + O(h^2)
+k=2 exact a1: u_xt = (-1)*u_xx + 0*h*u_xxx + O(h^2)
+k=2 exact a2: u_xxt = (-1)*u_xxx + 0*h*u_xxxx + O(h^2)
+correction: C = (1/96)*h^2*u_xxxx + O(h^4)
+"""
+
+
 def test_cli_taylor_contains_frozen_line(capsys):
+    # the whole exact output is rational text, so it is pinned verbatim
     assert main(["taylor"]) == 0
     out = capsys.readouterr().out
     assert "k=1 upwind a1: u_xt = 0*u_xx + (-2/5)*h*u_xxx + O(h^2)" in out
+    assert out == TAYLOR_STDOUT
 
 
 def test_cli_taylor_assert(capsys):

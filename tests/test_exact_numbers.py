@@ -64,6 +64,49 @@ def test_field_axioms_on_random_triples():
         assert x - x == ZERO
 
 
+def _dense_product(x, y):
+    """All sixteen component products, written out."""
+    a1, b1, c1, d1 = x.a, x.b, x.c, x.d
+    a2, b2, c2, d2 = y.a, y.b, y.c, y.d
+    return (
+        a1 * a2 + 3 * b1 * b2 + 5 * c1 * c2 + 15 * d1 * d2,
+        a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
+        a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def _sparse_operand(rng):
+    """A QF, int or Fraction; each QF component is zero with probability 1/2."""
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.randint(-9, 9)
+    if kind < 0.2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return QF(*(
+        Fraction(0) if rng.random() < 0.5 else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for _ in range(4)
+    ))
+
+
+def _components(q):
+    return (q.a, q.b, q.c, q.d)
+
+
+def test_sparse_product_matches_dense_formula():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        x, y = _sparse_operand(rng), _sparse_operand(rng)
+        if not isinstance(x, QF) and not isinstance(y, QF):
+            x = QF.coerce(x)
+        product = x * y
+        assert _components(product) == _dense_product(QF.coerce(x), QF.coerce(y))
+        results = [product, x + y, x - y, y - x]
+        results += [-q for q in (x, y) if isinstance(q, QF)]
+        for result in results:
+            assert all(type(c) is Fraction for c in _components(result)), repr(result)
+
+
 def test_float_demotion_matches_components():
     import math
 
