@@ -9,7 +9,12 @@ byte-identical files.
 
 The convergence and compare studies advance each scheme's stencil with the
 exact Fourier propagator (Integrator.propagate); marching with
-Integrator.integrate is the reference it is tested against.
+Integrator.integrate is the reference it is tested against.  Their status
+column is 'ok', 'unstable' (growth above 1 + GROWTH_TOL, see run_convergence)
+or 'failed' (a non-finite state); check_convergence fails on any but 'ok'.
+ssprk2 with dg-p2 is weakly unstable (spectral radius 1 + 1.6e-6 per step at
+cfl 0.1; Xu, Meng, Shu & Zhang, SINUM 57, 2019): a run of it reads 'unstable'
+only once its growth passes 1e-6.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from .exact import (
     moment_evolution_laws,
     moment_leading_scale,
 )
-from .field import error_norms, project
+from .field import Norms, error_norms, project
 from .fv import average_error_norms, fv_stencil, project_averages
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap them where it wraps the others.
@@ -60,6 +65,7 @@ FIT_GRIDS = 3
 SPECTRUM_SAMPLES = 256
 SPECTRUM_RE_TOL = 1e-12
 RESIDUAL_RTOL = 1e-2
+GROWTH_TOL = 1e-6
 CORRECTION_RTOL = 1e-2
 CORRECTION_RATIO_TOL = 0.1
 
@@ -172,19 +178,11 @@ class RunConfig:
         initial_condition(self.ic)  # validates the spec string
 
 
-def _fmt_csv(value: object) -> str:
+def _fmt(value: object, spec: str) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.12e}"
-    return str(value)
-
-
-def _fmt_console(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6g}"
+        return format(value, spec)
     return str(value)
 
 
@@ -209,7 +207,7 @@ class ResultTable:
 
     def csv_text(self) -> str:
         lines = [",".join(self.columns)]
-        lines.extend(",".join(_fmt_csv(v) for v in row) for row in self.rows)
+        lines.extend(",".join(_fmt(v, ".12e") for v in row) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def write_csv(self, out_dir: Path | str) -> Path:
@@ -221,7 +219,7 @@ class ResultTable:
 
     def format_text(self) -> str:
         cells = [list(self.columns)]
-        cells.extend([_fmt_console(v) for v in row] for row in self.rows)
+        cells.extend([_fmt(v, ".6g") for v in row] for row in self.rows)
         widths = [max(len(r[i]) for r in cells) for i in range(len(self.columns))]
         out = []
         for r, row in enumerate(cells):
@@ -273,11 +271,8 @@ _CONV_COLUMNS = (
 )
 
 
-def _eoc(prev: tuple[int, float] | None, n: int, err: float | None) -> float | None:
-    if prev is None or err is None or not np.isfinite(err) or err <= 0.0:
-        return None
-    n_prev, e_prev = prev
-    if e_prev is None or not np.isfinite(e_prev) or e_prev <= 0.0:
+def _eoc(n_prev: int, e_prev: float | None, n: int, err: float | None) -> float | None:
+    if not all(e is not None and np.isfinite(e) and e > 0.0 for e in (e_prev, err)):
         return None
     return float(np.log(e_prev / err) / np.log(n / n_prev))
 
@@ -285,41 +280,43 @@ def _eoc(prev: tuple[int, float] | None, n: int, err: float | None) -> float | N
 def run_convergence(config: RunConfig) -> ResultTable:
     """Propagate over whole periods on each grid and tabulate errors/EOCs.
 
+    A grid's growth is the largest entry of |W amp W^-1| over the Fourier
+    modes' propagators amp, with W = diag(sqrt(mass)) for DG (its bases are
+    not orthonormal) and 1 for FV; above 1 + GROWTH_TOL the grid is 'unstable'.
     meta['fitted_l2_order'] maps the scheme to the least-squares L2 order
     over the FIT_GRIDS finest grids (all grids when there are fewer).
     """
     ic = initial_condition(config.ic)
     integ = Integrator(config.integrator, config.cfl, t_final=config.periods)
     exact = exact_solution(ic, config.periods)
-    table = ResultTable(f"convergence_{config.scheme}", _CONV_COLUMNS)
-    prev: dict[str, tuple[int, float] | None] = {"l1": None, "l2": None, "linf": None}
-    ns: list[int] = []
-    l2s: list[float | None] = []
+    records = []  # (N, norms, steps, status) per grid
     for n in config.grids:
-        mesh = Mesh1D(n)
-        state, stencil, norms_fn = _setup_scheme(config.scheme, ic, mesh)
+        state, stencil, norms_fn = _setup_scheme(config.scheme, ic, Mesh1D(n))
+        w = np.sqrt(state.basis.mass) if config.scheme in DG_DEGREE else np.ones(1)
         try:
-            final, steps = integ.propagate(state, stencil)
-            norms = norms_fn(final, exact)
-            status = "ok"
+            final, steps, amp = integ.advance(state, stencil)
         except RuntimeError:
-            final, steps, norms, status = None, None, None, "failed"
-        row = {
-            "scheme": config.scheme,
-            "N": n,
-            "dx": mesh.dx,
-            "steps": steps,
-            "status": status,
-        }
-        for norm_name, value in zip(("l1", "l2", "linf"), norms or (None, None, None)):
-            row[norm_name] = value
-            row[f"eoc_{norm_name}"] = _eoc(prev[norm_name], n, value)
-            prev[norm_name] = (n, value) if value is not None else None
-        table.add_row(**row)
-        ns.append(n)
-        l2s.append(None if norms is None else norms.l2)
+            records.append((n, Norms(None, None, None), None, "failed"))
+            continue
+        growth = np.max(np.abs(w[:, None] * amp / w))
+        status = "ok" if growth <= 1.0 + GROWTH_TOL else "unstable"
+        records.append((n, norms_fn(final, exact), steps, status))
+    table = ResultTable(f"convergence_{config.scheme}", _CONV_COLUMNS)
+    for i, (n, norms, steps, status) in enumerate(records):
+        n_prev, prev = records[i - 1][:2] if i else (n, Norms(None, None, None))
+        eocs = {f"eoc_{k}": _eoc(n_prev, p, n, e) for k, p, e in zip(Norms._fields, prev, norms)}
+        table.add_row(
+            scheme=config.scheme,
+            N=n,
+            dx=1.0 / n,
+            steps=steps,
+            status=status,
+            **norms._asdict(),
+            **eocs,
+        )
+    finest = records[-FIT_GRIDS:]
     table.meta["fitted_l2_order"] = {
-        config.scheme: _fit_order(ns[-FIT_GRIDS:], l2s[-FIT_GRIDS:])
+        config.scheme: _fit_order([r[0] for r in finest], [r[1].l2 for r in finest])
     }
     return table
 
@@ -336,8 +333,9 @@ def run_compare(config: RunConfig) -> ResultTable:
 
 
 def check_convergence(table: ResultTable) -> list[str]:
-    """EOC-band failures for every scheme fitted in the table."""
-    failures = []
+    """Every grid that did not run 'ok', then EOC-band failures per scheme."""
+    rows = zip(table.column("scheme"), table.column("N"), table.column("status"))
+    failures = [f"{scheme}: N={n} status {status}" for scheme, n, status in rows if status != "ok"]
     for scheme, order in table.meta.get("fitted_l2_order", {}).items():
         lo, hi = EOC_BANDS[scheme]
         if order is None:
@@ -389,85 +387,54 @@ def run_residual(config: RunConfig) -> ResultTable:
     degree = DG_DEGREE[config.scheme]
     table = ResultTable(f"residual_{config.scheme}", _RESIDUAL_COLUMNS)
     targets = table.meta.setdefault("targets", {})
-
-    fields = {}
-    for n in grids:
-        mesh = Mesh1D(n)
-        fields[n] = project(ic.fn, mesh, degree)
-
+    meshes = [Mesh1D(n) for n in grids]
+    fields = [project(ic.fn, mesh, degree) for mesh in meshes]
     for mode in MODES:
-        laws = moment_evolution_laws(StencilSpec(degree, mode))
-        rhs_by_grid = {}
-        for n, field in fields.items():
-            if mode == UPWIND_TRACE:
-                rhs_by_grid[n] = rhs_matrix(field)
-            else:
-                rhs_by_grid[n] = rhs_weak(field, ExactInterface(ic.fn))
-        for m in range(degree + 1):
-            law = laws[m]
+        if mode == UPWIND_TRACE:
+            responses = [rhs_matrix(field).coeffs for field in fields]
+        else:
+            responses = [rhs_weak(field, ExactInterface(ic.fn)).coeffs for field in fields]
+        for m, law in enumerate(moment_evolution_laws(StencilSpec(degree, mode))):
             scale = float(moment_leading_scale(degree, m))
             q_lead = next(q for q, c in enumerate(law.coeffs) if c != 0)
-            probes = [(q_lead, law.coeffs[q_lead])]
-            if q_lead > 0:
-                # The law's h^0 term vanished identically; measure the zero too.
-                probes.insert(0, (0, Fraction(0)))
-            for q, exact_coeff in probes:
+            # When the law's h^0 term vanished identically, measure the zero too.
+            for q in sorted({0, q_lead}):
+                exact_coeff = law.coeffs[q]
+                exact_f = float(exact_coeff)
                 deriv_order = law.derivative_order(q)
                 estimates: list[tuple[int, float]] = []
-                for n in grids:
-                    mesh = Mesh1D(n)
-                    response = rhs_by_grid[n].coeffs[:, m]
-                    shape = (
-                        scale
-                        * ic.derivative(mesh.centers, deriv_order)
-                        * mesh.dx ** (deriv_order - 1)
-                    )
-                    measured = float(response @ shape / (shape @ shape))
-                    estimates.append((n, measured))
-                    _add_residual_row(
-                        table, mode, m, "grid", n, mesh.dx, deriv_order, q, exact_coeff, measured
-                    )
-                for (n_c, v_c), (n_f, v_f) in zip(estimates, estimates[1:]):
-                    richardson = (4.0 * v_f - v_c) / 3.0
-                    _add_residual_row(
-                        table, mode, m, "richardson", n_f, 1.0 / n_f, deriv_order, q,
-                        exact_coeff, richardson,
-                    )
+                for mesh, response in zip(meshes, responses):
+                    shape = scale * ic.derivative(mesh.centers, deriv_order)
+                    shape = shape * mesh.dx ** (deriv_order - 1)
+                    measured = float(response[:, m] @ shape / (shape @ shape))
+                    estimates.append((mesh.n_cells, measured))
+                richardson = [
+                    (n_f, (4.0 * v_f - v_c) / 3.0)
+                    for (_, v_c), (n_f, v_f) in zip(estimates, estimates[1:])
+                ]
+                for estimator, rows in (("grid", estimates), ("richardson", richardson)):
+                    for n, measured in rows:
+                        table.add_row(
+                            mode=mode,
+                            moment=m,
+                            estimator=estimator,
+                            N=n,
+                            dx=1.0 / n,
+                            target=_deriv_name(deriv_order),
+                            h_power=q,
+                            exact=str(exact_coeff),
+                            measured=measured,
+                            rel_err=abs(measured - exact_f) / abs(exact_f) if exact_coeff else None,
+                            abs_err=abs(measured - exact_f),
+                        )
                 targets[(mode, m, q)] = {
                     "exact": exact_coeff,
                     "estimates": estimates,
                     "deriv_order": deriv_order,
                 }
+        # Drop this mode's responses before the next mode builds its own (peak memory).
+        del responses
     return table
-
-
-def _add_residual_row(
-    table: ResultTable,
-    mode: str,
-    moment: int,
-    estimator: str,
-    n: int,
-    dx: float,
-    deriv_order: int,
-    h_power: int,
-    exact_coeff: Fraction,
-    measured: float,
-) -> None:
-    exact_f = float(exact_coeff)
-    rel = abs(measured - exact_f) / abs(exact_f) if exact_coeff != 0 else None
-    table.add_row(
-        mode=mode,
-        moment=moment,
-        estimator=estimator,
-        N=n,
-        dx=dx,
-        target=_deriv_name(deriv_order),
-        h_power=h_power,
-        exact=str(exact_coeff),
-        measured=measured,
-        rel_err=rel,
-        abs_err=abs(measured - exact_f),
-    )
 
 
 def check_residual(table: ResultTable, n_finest: int = 2) -> list[str]:
@@ -569,23 +536,18 @@ def run_correction(grids: Sequence[int] = DEFAULT_GRIDS) -> ResultTable:
     exact = float(c_lead)
     table = ResultTable("correction", _CORRECTION_COLUMNS)
     table.meta["exact_fraction"] = c_lead.rational_value()
-    u = _sine
-    u_xx = lambda x: _sine_derivative(x, 2)
-    u_lead = lambda x: _sine_derivative(x, p_lead)
-    prev_cmax = None
+    records = []  # (N, cmax, measured) per grid
     for n in grids:
         mesh = Mesh1D(n)
-        c = correction_term(u, u_xx, mesh.centers, mesh.dx)
-        shape = u_lead(mesh.centers) * mesh.dx ** (p_lead + series.h_shift)
-        measured = float(c @ shape / (shape @ shape))
-        cmax = float(np.max(np.abs(c)))
-        ratio = None if prev_cmax is None else prev_cmax / cmax
-        prev_cmax = cmax
+        c = correction_term(_sine, lambda x: _sine_derivative(x, 2), mesh.centers, mesh.dx)
+        shape = _sine_derivative(mesh.centers, p_lead) * mesh.dx ** (p_lead + series.h_shift)
+        records.append((n, float(np.max(np.abs(c))), float(c @ shape / (shape @ shape))))
+    for i, (n, cmax, measured) in enumerate(records):
         table.add_row(
             N=n,
-            dx=mesh.dx,
+            dx=1.0 / n,
             cmax=cmax,
-            ratio=ratio,
+            ratio=records[i - 1][1] / cmax if i else None,
             exact=exact,
             measured=measured,
             rel_err=abs(measured - exact) / abs(exact),

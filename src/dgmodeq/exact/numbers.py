@@ -161,19 +161,15 @@ class QF:
         """
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero")
-        nonzero = [
-            name for name, comp in zip("abcd", (self._a, self._b, self._c, self._d)) if comp != 0
-        ]
+        comps = (self._a, self._b, self._c, self._d)
+        nonzero = [k for k, x in enumerate(comps) if x]
         if len(nonzero) != 1:
             raise ValueError(f"reciprocal of mixed value {self} is not supported")
-        which = nonzero[0]
-        if which == "a":
-            return QF(1 / self._a)
-        if which == "b":
-            return QF(0, 1 / (3 * self._b))
-        if which == "c":
-            return QF(0, 0, 1 / (5 * self._c))
-        return QF(0, 0, 0, 1 / (15 * self._d))
+        # 1/(x e_k) = e_k / (x f), where e_k * e_k = f
+        k = nonzero[0]
+        acc = [_ZERO, _ZERO, _ZERO, _ZERO]
+        acc[k] = 1 / (comps[k] * _PRODUCT[k][k][1])
+        return QF._of(*acc)
 
     def __truediv__(self, other: QF | RationalLike) -> QF:
         o = QF.coerce(other)

@@ -74,11 +74,6 @@ def rhs_fv2(field: AverageField, slope: str = "central") -> AverageField:
     return fv_stencil(f"fv2-{slope}").apply(field)
 
 
-def total_variation(field: AverageField) -> float:
-    u = field.data
-    return float(np.sum(np.abs(u - np.roll(u, 1))))
-
-
 def average_error_norms(field: AverageField, f_exact: Callable[[np.ndarray], np.ndarray]) -> Norms:
     """Discrete norms of (averages - exact cell averages)."""
     exact = project_averages(f_exact, field.mesh)

@@ -12,7 +12,8 @@ Two routes reach t_final on the same integer step schedule:
 * propagate() applies the fully discrete scheme of a linear periodic
   mesh.Stencil in Fourier space, mode by mode, in O(N log N + N log n)
   instead of O(N n).  For these linear problems it gives the marched
-  solution up to rounding, and the convergence study uses it.
+  solution up to rounding.  The convergence study calls it as advance(),
+  which also returns the per-mode matrices, to judge the run's stability.
 """
 from __future__ import annotations
 
@@ -121,10 +122,19 @@ class Integrator:
         and R the method's stability polynomial.  Raises RuntimeError like
         integrate() when the result is not finite.
         """
+        final, n, _ = self.advance(state, stencil)
+        return final, n
+
+    def advance(self, state: S, stencil: Stencil) -> tuple[S, int, np.ndarray]:
+        """propagate(), also returning the per-mode matrices it applied.
+
+        The third value stacks the (N//2 + 1, m, m) matrices of modes
+        k = 0..N//2; with no steps it is a single identity matrix.
+        """
         mesh = _mesh_of(state)
         n, dt, dt_last = self.schedule(mesh.dx)
         if n == 0:
-            return state, 0
+            return state, 0, np.eye(stencil.size)[None]
         n_cells = mesh.n_cells
         g = stencil.symbol(2.0 * np.pi * np.arange(n_cells // 2 + 1) / n_cells) / mesh.dx
         with np.errstate(over="ignore", invalid="ignore"):
@@ -134,7 +144,7 @@ class Integrator:
             out = np.fft.irfft((amp @ modes[..., None])[..., 0], n=n_cells, axis=0)
         if not np.all(np.isfinite(out)):
             raise _unstable(n, self.t_final)
-        return state.with_data(out.reshape(state.data.shape)), n
+        return state.with_data(out.reshape(state.data.shape)), n, amp
 
     def _stability(self, z: np.ndarray) -> np.ndarray:
         """R(z) for a stack of square matrices z, by Horner's rule."""

@@ -175,6 +175,66 @@ def test_convergence_records_failure_rows():
             assert row[table.columns.index("l2")] is None
 
 
+# Runs past the RKDG limits (cfl about 0.409 for P1 and 0.209 for P2 under
+# SSPRK3; forward Euler with P >= 1 or a central slope).  Their states stay
+# finite, so only the growth check flags them, and the one-grid run has no
+# order band to fail.
+UNSTABLE_RUNS = [
+    "--cfl 0.41 --grids 64,128",
+    "--cfl 0.45 --grids 32,64",
+    "--cfl 0.45 --grids 64",
+    "--scheme dg-p2 --integrator euler",
+    "--integrator euler",
+    "--scheme fv2-central --integrator euler",
+]
+
+
+@pytest.mark.parametrize("flags", UNSTABLE_RUNS)
+def test_cli_convergence_reports_unstable_runs(flags, tmp_path, capsys):
+    assert main(["convergence", *flags.split(), "--out", str(tmp_path), "--assert"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS" not in out
+    (csv,) = tmp_path.glob("convergence_*.csv")
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    for scheme, n, _dx, _l1, l2, *_, status in rows:
+        assert status == "unstable"
+        assert f"FAIL: {scheme}: N={n} status unstable" in out
+        assert l2  # the norms stay in the table
+
+
+def test_check_convergence_fails_a_failed_single_grid():
+    # one grid gives no order to fit, so only the status check can fail it
+    table = run_convergence(RunConfig("dg-p1", (32,), cfl=2.0, periods=30.0, integrator="euler"))
+    assert check_convergence(table) == [
+        "dg-p1: N=32 status failed",
+        "dg-p1: no usable error data to fit an order",
+    ]
+
+
+STABLE_RUNS = (
+    [(s, "ssprk3", cfl) for s in SCHEMES for cfl in (0.1, 0.2, 0.3) if (s, cfl) != ("dg-p2", 0.3)]
+    + [(s, "ssprk2", 0.1) for s in SCHEMES]
+    + [("fv1", "euler", 0.1)]
+)
+
+
+@pytest.mark.parametrize("scheme, integrator, cfl", STABLE_RUNS)
+def test_convergence_stable_runs_read_ok(scheme, integrator, cfl):
+    grids = (20, 40, 80, 160, 320, 640)
+    table = run_convergence(RunConfig(scheme, grids, cfl=cfl, integrator=integrator))
+    assert table.column("status") == ["ok"] * len(grids)
+
+
+@pytest.mark.parametrize("periods", [0.0, 0.001])
+def test_convergence_short_runs_read_ok(periods):
+    # at 0.001 periods the unweighted max |amp| of dg-p1 reads 2.29: the
+    # {1, xi} basis is not orthonormal, and only the mass-weighted one is 1
+    table = run_convergence(RunConfig("dg-p1", (20, 80, 320), periods=periods))
+    assert table.column("status") == ["ok"] * 3
+    if periods == 0.0:
+        assert table.column("steps") == [0] * 3
+
+
 def test_residual_small_grids():
     table = run_residual(RunConfig("dg-p1", (40, 80)))
     targets = table.meta["targets"]
@@ -195,6 +255,73 @@ def test_residual_requires_doubling_and_sine():
         run_residual(RunConfig("dg-p1", (40, 80), ic="gauss:0.1"))
     with pytest.raises(ValueError):
         run_residual(RunConfig("fv1", (40, 80)))
+
+
+# ----------------------------------------------------------------------
+# between-grid columns, recomputed from each table's own per-grid cells
+
+
+def _usable(err):
+    return err is not None and np.isfinite(err) and err > 0.0
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: run_compare(RunConfig("dg-p1", (10, 20, 40))),
+        lambda: run_convergence(RunConfig("dg-p2", (10, 20, 40), ic="step")),
+        lambda: run_convergence(RunConfig("fv1")),
+        # overflowing norms (l2 = inf at N=16) and failed rows at N=32, 64
+        lambda: run_convergence(
+            RunConfig("dg-p1", (4, 8, 16, 32, 64), cfl=2.0, periods=30.0, integrator="euler")
+        ),
+    ],
+    ids=["compare", "dg-p2-step", "fv1", "failing"],
+)
+def test_eoc_columns_follow_norm_columns(table):
+    table = table()
+    col = {name: table.column(name) for name in table.columns}
+    checked = 0
+    for i, scheme in enumerate(col["scheme"]):
+        first = i == 0 or col["scheme"][i - 1] != scheme
+        for norm in ("l1", "l2", "linf"):
+            eoc = col[f"eoc_{norm}"][i]
+            if first or "failed" in (col["status"][i - 1], col["status"][i]):
+                assert eoc is None
+                continue
+            e_prev, e = col[norm][i - 1], col[norm][i]
+            if not (_usable(e_prev) and _usable(e)):
+                assert eoc is None
+                continue
+            n_prev, n = col["N"][i - 1], col["N"][i]
+            assert eoc == float(np.log(e_prev / e) / np.log(n / n_prev))
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("scheme, grids", [("dg-p1", (20, 40, 80)), ("dg-p2", (10, 20, 40, 80))])
+def test_residual_richardson_rows_follow_grid_rows(scheme, grids):
+    table = run_residual(RunConfig(scheme, grids))
+    cols = table.columns
+    groups: dict = {}
+    for row in table.rows:
+        cell = dict(zip(cols, row))
+        key = (cell["mode"], cell["moment"], cell["h_power"])
+        groups.setdefault(key, {"grid": [], "richardson": []})[cell["estimator"]].append(cell)
+    assert set(groups) == set(table.meta["targets"])
+    for key, rows in groups.items():
+        grid = [(c["N"], c["measured"]) for c in rows["grid"]]
+        assert [n for n, _ in grid] == list(grids)
+        assert table.meta["targets"][key]["estimates"] == grid
+        want = [(n_f, (4.0 * v_f - v_c) / 3.0) for (_, v_c), (n_f, v_f) in zip(grid, grid[1:])]
+        assert [(c["N"], c["measured"]) for c in rows["richardson"]] == want
+
+
+def test_correction_ratio_follows_cmax():
+    table = run_correction((10, 20, 40, 80))
+    cmax, ratio = table.column("cmax"), table.column("ratio")
+    assert ratio[0] is None
+    assert ratio[1:] == [c_prev / c for c_prev, c in zip(cmax, cmax[1:])]
 
 
 @pytest.mark.parametrize("grids", [(40, 20), (20, 30)])

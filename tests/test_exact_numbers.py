@@ -33,6 +33,21 @@ def test_reciprocal_single_component():
         assert x * x.reciprocal() == ONE
 
 
+def test_reciprocal_of_random_single_components():
+    rng = random.Random(23)
+    for _ in range(2000):
+        num = rng.choice([-1, 1]) * rng.randint(2, 99)
+        value = Fraction(num, rng.randint(1, 99))
+        if abs(value) == 1:
+            value *= 2
+        comps = [0, 0, 0, 0]
+        comps[rng.randrange(4)] = value
+        x = QF(*comps)
+        inv = x.reciprocal()
+        assert x * inv == ONE
+        assert all(type(c) is Fraction for c in (inv.a, inv.b, inv.c, inv.d))
+
+
 def test_reciprocal_rejects_mixed_and_zero():
     with pytest.raises(ZeroDivisionError):
         ZERO.reciprocal()

@@ -9,7 +9,6 @@ from dgmodeq import (
     project_averages,
     rhs_fv1,
     rhs_fv2,
-    total_variation,
 )
 
 
@@ -59,10 +58,10 @@ def test_fv1_total_variation_nonincreasing():
     mesh = Mesh1D(40)
     field = AverageField(mesh, rng.standard_normal(40))
     dt = 0.8 * mesh.dx
-    tv = total_variation(field)
+    tv = np.sum(np.abs(field.data - np.roll(field.data, 1)))
     for _ in range(60):
         field = field.with_data(field.data + dt * rhs_fv1(field).data)
-        tv_next = total_variation(field)
+        tv_next = np.sum(np.abs(field.data - np.roll(field.data, 1)))
         assert tv_next <= tv + 1e-12
         tv = tv_next
 
