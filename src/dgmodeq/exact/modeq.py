@@ -14,11 +14,16 @@ moment_evolution_laws then divides by the leading moment scale of a_m,
 which must leave purely rational coefficients; any surviving surd component
 means the algebra went wrong and raises DerivationError rather than being
 rounded away.
+
+Laws, moment series and the correction series are derived once per process
+and cached; the public functions hand each caller a fresh list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from numbers import Integral
 
 from .basis import (
     check_degree,
@@ -48,6 +53,14 @@ class DerivationError(ValueError):
     """Raised when a symbolic derivation violates a structural expectation."""
 
 
+def _check_order(order: int, minimum: int) -> None:
+    """Reject anything but an integer truncation order >= minimum (bools too)."""
+    if isinstance(order, bool) or not isinstance(order, Integral):
+        raise ValueError(f"truncation order must be an integer, got {order!r}")
+    if order < minimum:
+        raise ValueError(f"truncation order {order} too small; need at least {minimum}")
+
+
 @dataclass(frozen=True)
 class StencilSpec:
     """One symbolic derivation: basis degree, interface mode, truncation."""
@@ -60,10 +73,7 @@ class StencilSpec:
         check_degree(self.degree)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.order < MIN_ORDER:
-            raise ValueError(
-                f"truncation order {self.order} too small; need at least {MIN_ORDER}"
-            )
+        _check_order(self.order, MIN_ORDER)
 
 
 def basis_moments(degree: int, order: int = DEFAULT_ORDER) -> list[DerivativeSeries]:
@@ -72,14 +82,19 @@ def basis_moments(degree: int, order: int = DEFAULT_ORDER) -> list[DerivativeSer
     Entry m is the series of a_m about the cell center:
     c_p = (1/p!) * (integral phi_m xi^p) / M_m, paired with h^p.
     """
-    out = []
-    for m in range(degree + 1):
-        coeffs = [
-            projection_moment(degree, m, p) * QF(_inv_factorial(p))
-            for p in range(order + 1)
-        ]
-        out.append(DerivativeSeries(coeffs))
-    return out
+    check_degree(degree)
+    _check_order(order, 0)
+    return list(_basis_moments(degree, order))
+
+
+@lru_cache(maxsize=None)
+def _basis_moments(degree: int, order: int) -> tuple[DerivativeSeries, ...]:
+    return tuple(
+        DerivativeSeries(
+            projection_moment(degree, m, p) * QF(_inv_factorial(p)) for p in range(order + 1)
+        )
+        for m in range(degree + 1)
+    )
 
 
 def modified_equation(spec: StencilSpec) -> list[DerivativeSeries]:
@@ -185,6 +200,11 @@ def moment_evolution_laws(spec: StencilSpec) -> list[ModifiedPDE]:
     identically and every reported coefficient must be rational; violations
     raise DerivationError because they falsify the derivation itself.
     """
+    return list(_evolution_laws(spec))
+
+
+@lru_cache(maxsize=None)
+def _evolution_laws(spec: StencilSpec) -> tuple[ModifiedPDE, ...]:
     out = []
     for m, dadt in enumerate(modified_equation(spec)):
         if dadt.h_shift != -1:
@@ -208,7 +228,7 @@ def moment_evolution_laws(spec: StencilSpec) -> list[ModifiedPDE]:
                 )
             coeffs.append(coeff.rational_value())
         out.append(ModifiedPDE(degree=spec.degree, moment=m, mode=spec.mode, coeffs=tuple(coeffs)))
-    return out
+    return tuple(out)
 
 
 def correction_series(order: int = DEFAULT_ORDER) -> DerivativeSeries:
@@ -218,8 +238,12 @@ def correction_series(order: int = DEFAULT_ORDER) -> DerivativeSeries:
     how far twice-the-average-curvature sits from u''/2.  Both h^0 terms
     cancel exactly; the leading survivor is u'''' h^2 / 96.
     """
-    if order < 4:
-        raise ValueError("order must be at least 4 to expose the leading term")
+    _check_order(order, 4)
+    return _correction_series(order)
+
+
+@lru_cache(maxsize=None)
+def _correction_series(order: int) -> DerivativeSeries:
     unit = DerivativeSeries.unit(order)
     bracket = unit.shift(Fraction(1, 2)) + unit.shift(Fraction(-1, 2)) - unit.scaled(2)
     scaled = bracket.scaled(2).div_h(2)

@@ -11,9 +11,9 @@ update-matrix entries stay exact.  The component product table is closed:
 
 Products loop over the nonzero components of each operand only, through
 that table, so the single-component values the derivations mostly multiply
-cost one Fraction product instead of sixteen.  Arithmetic results are built
-straight from the Fractions they already hold; only the public constructor
-checks its arguments.
+cost one Fraction product instead of sixteen; sums, differences and negation
+do no Fraction work on a zero component either.  Arithmetic results are built
+straight from the Fractions they already hold; only QF(...) checks them.
 
 Division is deliberately restricted to rational scalars and to
 single-component values (the only reciprocals the derivations need, e.g.
@@ -41,6 +41,16 @@ _PRODUCT = (
     ((2, 1), (3, 1), (0, 5), (1, 5)),
     ((3, 1), (2, 3), (1, 5), (0, 15)),
 )
+
+
+def _add(x: Fraction, y: Fraction) -> Fraction:
+    """x + y, with no Fraction operation when either side is zero."""
+    return x + y if x and y else x or y
+
+
+def _sub(x: Fraction, y: Fraction) -> Fraction:
+    """x - y, with no Fraction operation when either side is zero."""
+    return x - y if x and y else -y if y else x
 
 
 def _frac(value: RationalLike) -> Fraction:
@@ -109,7 +119,7 @@ class QF:
     def coerce(cls, value: QF | RationalLike) -> QF:
         if isinstance(value, QF):
             return value
-        return cls(_frac(value))
+        return cls._of(_frac(value), _ZERO, _ZERO, _ZERO)
 
     def is_rational(self) -> bool:
         return self._b == 0 and self._c == 0 and self._d == 0
@@ -125,30 +135,29 @@ class QF:
 
     def __add__(self, other: QF | RationalLike) -> QF:
         o = QF.coerce(other)
-        return QF._of(self._a + o._a, self._b + o._b, self._c + o._c, self._d + o._d)
+        return QF._of(*map(_add, (self._a, self._b, self._c, self._d), (o._a, o._b, o._c, o._d)))
 
     __radd__ = __add__
 
     def __sub__(self, other: QF | RationalLike) -> QF:
         o = QF.coerce(other)
-        return QF._of(self._a - o._a, self._b - o._b, self._c - o._c, self._d - o._d)
+        return QF._of(*map(_sub, (self._a, self._b, self._c, self._d), (o._a, o._b, o._c, o._d)))
 
     def __rsub__(self, other: RationalLike) -> QF:
         return QF.coerce(other) - self
 
     def __neg__(self) -> QF:
-        return QF._of(-self._a, -self._b, -self._c, -self._d)
+        return QF._of(*(-x if x else x for x in (self._a, self._b, self._c, self._d)))
 
     def __mul__(self, other: QF | RationalLike) -> QF:
         o = QF.coerce(other)
-        right = (o._a, o._b, o._c, o._d)
+        right = [(j, y) for j, y in enumerate((o._a, o._b, o._c, o._d)) if y]
         acc = [_ZERO, _ZERO, _ZERO, _ZERO]
         for x, row in zip((self._a, self._b, self._c, self._d), _PRODUCT):
             if x:
-                for y, (k, f) in zip(right, row):
-                    if y:
-                        product = x * y
-                        acc[k] += product if f == 1 else product * f
+                for j, y in right:
+                    k, f = row[j]
+                    acc[k] = _add(acc[k], x * y if f == 1 else x * y * f)
         return QF._of(*acc)
 
     __rmul__ = __mul__
@@ -192,6 +201,9 @@ class QF:
         )
 
     def __hash__(self) -> int:
+        # equal to hash(q) for a rational value q, since QF(q) == q
+        if self.is_rational():
+            return hash(self._a)
         return hash((self._a, self._b, self._c, self._d))
 
     def __bool__(self) -> bool:

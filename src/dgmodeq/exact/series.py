@@ -17,10 +17,12 @@ a silent unit error, so it raises).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .numbers import QF, RationalLike
+from .numbers import QF, ZERO, RationalLike
 
 #: Offsets, in units of h, that shift() accepts.  These are the only strides
 #: the one-sided interface stencils and the half-cell evaluations use.
@@ -33,10 +35,13 @@ ALLOWED_OFFSETS = (
 
 
 def _inv_factorial(n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(2, n + 1):
-        out *= i
-    return 1 / out
+    return Fraction(1, math.factorial(n))
+
+
+@lru_cache(maxsize=None)
+def _taylor_weights(off: Fraction, n: int) -> tuple[QF, ...]:
+    """The Taylor weights off**q / q! for q < n."""
+    return tuple(QF(off**q * _inv_factorial(q)) for q in range(n))
 
 
 class DerivativeSeries:
@@ -131,20 +136,18 @@ class DerivativeSeries:
 
     def __add__(self, other: DerivativeSeries) -> DerivativeSeries:
         self._check_compatible(other)
-        n = min(len(self._coeffs), len(other._coeffs))
-        return DerivativeSeries(
-            [self._coeffs[p] + other._coeffs[p] for p in range(n)], self._h_shift
-        )
+        return DerivativeSeries(map(QF.__add__, self._coeffs, other._coeffs), self._h_shift)
 
     def __sub__(self, other: DerivativeSeries) -> DerivativeSeries:
-        return self + (-other)
+        self._check_compatible(other)
+        return DerivativeSeries(map(QF.__sub__, self._coeffs, other._coeffs), self._h_shift)
 
     def __neg__(self) -> DerivativeSeries:
         return DerivativeSeries([-c for c in self._coeffs], self._h_shift)
 
     def scaled(self, factor: QF | RationalLike) -> DerivativeSeries:
         f = QF.coerce(factor)
-        return DerivativeSeries([c * f for c in self._coeffs], self._h_shift)
+        return DerivativeSeries([c * f if c else c for c in self._coeffs], self._h_shift)
 
     def shift(self, offset: Fraction | int) -> DerivativeSeries:
         """Re-expand the series about x + offset*h (exact Taylor shift).
@@ -158,14 +161,14 @@ class DerivativeSeries:
         if off not in ALLOWED_OFFSETS:
             raise ValueError(f"offset {off} not in {{+-1, +-1/2}}")
         n = len(self._coeffs)
+        weights = _taylor_weights(off, n)
+        terms = [(p, c) for p, c in enumerate(self._coeffs) if c]
         out = []
         for r in range(n):
-            acc = QF(0)
-            for p in range(r + 1):
-                c = self._coeffs[p]
-                if c.is_zero():
-                    continue
-                acc = acc + c * QF(off ** (r - p) * _inv_factorial(r - p))
+            acc = ZERO
+            for p, c in terms:
+                if p <= r:
+                    acc = acc + c * weights[r - p]
             out.append(acc)
         return DerivativeSeries(out, self._h_shift)
 

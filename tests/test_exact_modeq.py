@@ -9,6 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from dgmodeq import cli
+from dgmodeq.exact import modeq
 from dgmodeq.exact import (
     EXACT_POINT,
     UPWIND_TRACE,
@@ -22,6 +24,7 @@ from dgmodeq.exact import (
     moment_evolution_laws,
     moment_leading_scale,
 )
+from dgmodeq.exact.series import _taylor_weights
 
 R = QF.rational
 SQ3 = QF(0, 1, 0, 0)
@@ -228,3 +231,51 @@ def test_degree_zero_laws():
     assert law.coeffs[0] == F(-1)
     assert law.coeffs[1] == F(1, 2)
     assert law.coeffs[2] == F(-5, 24)
+
+
+# ----------------------------------------------------------------------
+# derived once per process
+
+
+def _clear_caches():
+    for cached in (
+        modeq._evolution_laws,
+        modeq._correction_series,
+        modeq._basis_moments,
+        _taylor_weights,
+    ):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("order", [8.0, 8.5, True, "8"])
+def test_order_must_be_an_integer(order):
+    # 8.0 == 8 and hashes alike, so a cached order-8 law must not answer for it
+    _clear_caches()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="integer"):
+            StencilSpec(1, UPWIND_TRACE, order)
+        with pytest.raises(ValueError, match="integer"):
+            correction_series(order)
+        with pytest.raises(ValueError, match="integer"):
+            basis_moments(1, order)
+        moment_evolution_laws(StencilSpec(1, UPWIND_TRACE, 8))
+        correction_series(8)
+
+
+def test_laws_and_moments_are_fresh_lists():
+    spec = StencilSpec(2, EXACT_POINT)
+    for derive in (lambda: moment_evolution_laws(spec), lambda: basis_moments(2, 8)):
+        first = derive()
+        kept = list(first)
+        first[0] = None
+        first.append(None)
+        second = derive()
+        assert second is not first
+        assert second == kept
+
+
+def test_taylor_assert_derives_each_law_once(capsys):
+    _clear_caches()
+    assert cli.main(["taylor", "--assert"]) == 0, capsys.readouterr()
+    assert modeq._evolution_laws.cache_info().misses == 4
+    assert modeq._correction_series.cache_info().misses == 1

@@ -167,3 +167,41 @@ def test_coerce_accepts_int_fraction_qf():
     assert QF.coerce(SQRT5) is SQRT5
     with pytest.raises(TypeError):
         QF.coerce(0.5)
+
+
+def test_hash_agrees_with_eq_for_rationals():
+    rng = random.Random(8)
+    values = [rng.randint(-10**6, 10**6) for _ in range(500)]
+    values += [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(500)]
+    for value in values + [0, 1, -1, Fraction(1, 2)]:
+        assert QF(value) == value
+        assert hash(QF(value)) == hash(value)
+        assert len({QF(value), value}) == 1
+
+
+def _parts(value):
+    """Components of a QF, int or Fraction, by definition."""
+    if isinstance(value, QF):
+        return _components(value)
+    return (Fraction(value), Fraction(0), Fraction(0), Fraction(0))
+
+
+def test_arithmetic_matches_componentwise_definitions():
+    # the zero-skipping paths of +, -, unary - and * against the plain formulas
+    rng = random.Random(44)
+    for _ in range(2000):
+        x, y = QF.coerce(_sparse_operand(rng)), _sparse_operand(rng)
+        px, py = _parts(x), _parts(y)
+        cases = [
+            (x + y, tuple(a + b for a, b in zip(px, py))),
+            (y + x, tuple(a + b for a, b in zip(px, py))),
+            (x - y, tuple(a - b for a, b in zip(px, py))),
+            (y - x, tuple(b - a for a, b in zip(px, py))),
+            (-x, tuple(-a for a in px)),
+            (x * y, _dense_product(x, QF.coerce(y))),
+            (y * x, _dense_product(x, QF.coerce(y))),
+        ]
+        for got, want in cases:
+            assert isinstance(got, QF)
+            assert _components(got) == want, (x, y, got)
+            assert all(type(c) is Fraction for c in _components(got)), repr(got)

@@ -1,9 +1,12 @@
 """Truncated derivative series: shifts, products, h bookkeeping."""
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from dgmodeq.exact import QF, DerivativeSeries
+from dgmodeq.exact.series import ALLOWED_OFFSETS
 
 
 def q(num, den=1):
@@ -125,3 +128,45 @@ def test_leading_term():
     p, c = a.leading()
     assert p == 3 and c == q(-2, 5)
     assert a.h_power(p) == 2
+
+
+def _reference_shift(series, off):
+    """The Taylor shift written out term by term, with checked QF weights."""
+    coeffs = series.coeffs
+    out = []
+    for r in range(len(coeffs)):
+        acc = QF(0)
+        for p in range(r + 1):
+            weight = off ** (r - p) * (1 / Fraction(math.factorial(r - p)))
+            acc = acc + coeffs[p] * QF(weight)
+        out.append(acc)
+    return DerivativeSeries(out, series.h_shift)
+
+
+def _sparse_series(rng, n):
+    return DerivativeSeries(
+        [
+            QF(0) if rng.random() < 0.5 else QF(*(
+                0 if rng.random() < 0.5 else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(4)
+            ))
+            for _ in range(n)
+        ],
+        rng.randint(-2, 1),
+    )
+
+
+def test_shift_and_combinations_match_reference():
+    # cached weights, zero skipping and the direct difference against the plain loops
+    rng = random.Random(1018)
+    for n in range(1, 12):
+        for _ in range(6):
+            s, t = _sparse_series(rng, n), _sparse_series(rng, n)
+            t = DerivativeSeries(t.coeffs, s.h_shift)
+            for off in ALLOWED_OFFSETS:
+                assert s.shift(off) == _reference_shift(s, off)
+            factor = QF.coerce(_sparse_series(rng, 1).coeffs[0])
+            assert s.scaled(factor).coeffs == tuple(c * factor for c in s.coeffs)
+            assert (s - t).coeffs == tuple(a + (-b) for a, b in zip(s.coeffs, t.coeffs))
+            for result in (s.shift(1), s.scaled(factor), s - t):
+                assert all(type(x) is Fraction for c in result.coeffs for x in (c.a, c.b, c.c, c.d))
