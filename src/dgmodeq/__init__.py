@@ -28,7 +28,6 @@ from .analysis import (
 from .basis import ModalBasis, gauss_legendre_halfcell
 from .dg import (
     ExactInterface,
-    UpdateMatrices,
     Upwind,
     correction_term,
     rhs_matrix,
@@ -88,7 +87,6 @@ __all__ = [
     "RunConfig",
     "Stencil",
     "StencilSpec",
-    "UpdateMatrices",
     "Upwind",
     "average_error_norms",
     "basis_moments",

@@ -7,9 +7,10 @@ header row, scientific notation with 13 significant digits.  No timing is
 recorded, so repeated runs with the same configuration produce
 byte-identical files.
 
-The convergence and compare studies advance each scheme's stencil with the
-exact Fourier propagator (Integrator.propagate); marching with
-Integrator.integrate is the reference it is tested against.  Their status
+Every scheme is one mesh.Stencil (dg.update_matrices, fv.fv_stencil).  The
+convergence and compare studies propagate it in Fourier space
+(Integrator.propagate), whose per-mode matrices also give the run's growth;
+marching with Integrator.integrate is the tested reference.  Their status
 column is 'ok', 'unstable' (growth above 1 + GROWTH_TOL, see run_convergence)
 or 'failed' (a non-finite state); check_convergence fails on any but 'ok'.
 ssprk2 with dg-p2 is weakly unstable (spectral radius 1 + 1.6e-6 per step at
@@ -64,6 +65,8 @@ DEFAULT_GRIDS = (20, 40, 80, 160, 320)
 FIT_GRIDS = 3
 SPECTRUM_SAMPLES = 256
 SPECTRUM_RE_TOL = 1e-12
+#: check_residual and check_correction judge only the finest grids this many deep.
+CHECK_GRIDS = 2
 RESIDUAL_RTOL = 1e-2
 GROWTH_TOL = 1e-6
 CORRECTION_RTOL = 1e-2
@@ -237,7 +240,7 @@ def _setup_scheme(scheme: str, ic: InitialCondition, mesh: Mesh1D):
     """Initial state, stencil and norm function for a scheme name."""
     if scheme in DG_DEGREE:
         degree = DG_DEGREE[scheme]
-        return project(ic.fn, mesh, degree), update_matrices(degree).stencil, error_norms
+        return project(ic.fn, mesh, degree), update_matrices(degree), error_norms
     return project_averages(ic.fn, mesh), fv_stencil(scheme), average_error_norms
 
 
@@ -294,7 +297,7 @@ def run_convergence(config: RunConfig) -> ResultTable:
         state, stencil, norms_fn = _setup_scheme(config.scheme, ic, Mesh1D(n))
         w = np.sqrt(state.basis.mass) if config.scheme in DG_DEGREE else np.ones(1)
         try:
-            final, steps, amp = integ.advance(state, stencil)
+            final, steps, amp = integ.propagate(state, stencil)
         except RuntimeError:
             records.append((n, Norms(None, None, None), None, "failed"))
             continue
@@ -437,14 +440,14 @@ def run_residual(config: RunConfig) -> ResultTable:
     return table
 
 
-def check_residual(table: ResultTable, n_finest: int = 2) -> list[str]:
+def check_residual(table: ResultTable) -> list[str]:
     """1% relative agreement on the finest grids for every nonzero target."""
     failures = []
     for (mode, m, q), info in table.meta.get("targets", {}).items():
         if info["exact"] == 0:
             continue
         exact = float(info["exact"])
-        for n, measured in info["estimates"][-n_finest:]:
+        for n, measured in info["estimates"][-CHECK_GRIDS:]:
             rel = abs(measured - exact) / abs(exact)
             if rel > RESIDUAL_RTOL:
                 failures.append(
@@ -555,11 +558,11 @@ def run_correction(grids: Sequence[int] = DEFAULT_GRIDS) -> ResultTable:
     return table
 
 
-def check_correction(table: ResultTable, n_finest: int = 2) -> list[str]:
+def check_correction(table: ResultTable) -> list[str]:
     failures = []
     rel_errs = table.column("rel_err")
     ns = table.column("N")
-    for n, rel in zip(ns[-n_finest:], rel_errs[-n_finest:]):
+    for n, rel in zip(ns[-CHECK_GRIDS:], rel_errs[-CHECK_GRIDS:]):
         if rel > CORRECTION_RTOL:
             failures.append(f"N={n}: coefficient rel err {rel:.2e} > {CORRECTION_RTOL}")
     ratios = [(n, r) for n, r in zip(ns, table.column("ratio")) if r is not None]

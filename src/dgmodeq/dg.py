@@ -11,11 +11,11 @@ can check the other:
       d a^j/dt = -(A a^j - B a^{j-1}) / dx
 
   whose entries are assembled exactly in Q[sqrt(3), sqrt(5)] and demoted to
-  floats once, here.  As a mesh.Stencil this is {0: -A, -1: +B}; the same
-  stencil gives symbol(), the per-wavenumber amplification generator, and
-  drives the exact Fourier propagator (Integrator.propagate) that the
-  convergence study uses.  rhs_weak never touches the stencil, so marching
-  with it stays an independent reference.
+  floats once, here.  update_matrices(k) is the scheme, the mesh.Stencil
+  {0: -A, -1: +B} (fv.fv_stencil is the FV one); it gives symbol(), the
+  per-wavenumber amplification generator, and drives the exact Fourier
+  propagator (Integrator.propagate) of the convergence study.  rhs_weak
+  never touches the stencil, so marching with it stays independent.
 
 correction_term() gives the discrete curvature defect used by the
 second-moment studies.
@@ -23,7 +23,7 @@ second-moment studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -54,36 +54,18 @@ class ExactInterface:
 FluxRule = Upwind | ExactInterface
 
 
-@dataclass(frozen=True)
-class UpdateMatrices:
-    """One-sided update matrices, demoted once from their exact entries."""
-
-    degree: int
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.a, self.b):
-            arr.flags.writeable = False
-
-    @cached_property
-    def stencil(self) -> Stencil:
-        """The update as blocks per unit dx: {0: -A, -1: +B}."""
-        return Stencil({0: -self.a, -1: self.b})
-
-
 @lru_cache(maxsize=None)
-def update_matrices(degree: int) -> UpdateMatrices:
-    """Assembled update matrices for a degree-0/1/2 basis."""
+def update_matrices(degree: int) -> Stencil:
+    """The degree-0/1/2 update as a stencil per unit dx: {0: -A, -1: +B}."""
     exact_a, exact_b = _exact.update_matrices_exact(degree)
     a = np.array([[float(entry) for entry in row] for row in exact_a])
     b = np.array([[float(entry) for entry in row] for row in exact_b])
-    return UpdateMatrices(degree=degree, a=a, b=b)
+    return Stencil({0: -a, -1: b})
 
 
 def rhs_matrix(field: ModalField) -> ModalField:
     """Closed-form semi-discrete derivative -(A a^j - B a^{j-1})/dx."""
-    return update_matrices(field.degree).stencil.apply(field)
+    return update_matrices(field.degree).apply(field)
 
 
 def rhs_weak(field: ModalField, flux: FluxRule) -> ModalField:
@@ -131,7 +113,7 @@ def symbol(theta: np.ndarray | float, degree: int) -> np.ndarray:
     generator G(theta)/dx.  theta may be an array: the result has shape
     theta.shape + (m, m), one generator per sample.
     """
-    return update_matrices(degree).stencil.symbol(theta)
+    return update_matrices(degree).symbol(theta)
 
 
 def correction_term(

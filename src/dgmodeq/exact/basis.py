@@ -38,7 +38,10 @@ _BASIS_POLYS: dict[int, tuple[tuple[QF, ...], ...]] = {
 
 
 def check_degree(degree: int) -> None:
-    """Reject anything but an integer basis degree in 0..MAX_DEGREE (bools too)."""
+    """Reject anything but an integer basis degree in 0..MAX_DEGREE (bools too).
+
+    The caches below are typed, so True or 1.0 never hits degree 1's entry.
+    """
     if isinstance(degree, bool) or not isinstance(degree, Integral) or not 0 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be an integer from 0 to {MAX_DEGREE}, got {degree!r}")
 
@@ -80,7 +83,7 @@ def poly_moment(poly: tuple[QF, ...], p: int) -> QF:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mass_diagonal(degree: int) -> tuple[QF, ...]:
     """Exact diagonal of the reference mass matrix (bases are orthogonal)."""
     polys = basis_polynomials(degree)
@@ -106,7 +109,7 @@ def _product_moment(pa: tuple[QF, ...], pb: tuple[QF, ...]) -> QF:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def trace_vector(degree: int, side: int) -> tuple[QF, ...]:
     """Basis values at the cell edge: side=+1 for xi=1/2, side=-1 for xi=-1/2."""
     if side not in (1, -1):
@@ -115,7 +118,7 @@ def trace_vector(degree: int, side: int) -> tuple[QF, ...]:
     return tuple(poly_eval(p, xi) for p in basis_polynomials(degree))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def volume_matrix(degree: int) -> tuple[tuple[QF, ...], ...]:
     """V[m][n] = integral of phi_n * phi_m' over the reference cell."""
     polys = basis_polynomials(degree)
@@ -126,7 +129,7 @@ def volume_matrix(degree: int) -> tuple[tuple[QF, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def update_matrices_exact(degree: int) -> tuple[tuple[tuple[QF, ...], ...], tuple[tuple[QF, ...], ...]]:
     """Assemble the exact one-sided update matrices (A, B) from the weak form.
 
@@ -153,7 +156,7 @@ def update_matrices_exact(degree: int) -> tuple[tuple[tuple[QF, ...], ...], tupl
     return tuple(a_rows), tuple(b_rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def projection_moment(degree: int, m: int, p: int) -> QF:
     """Exact weight of u^(p) h^p / p! in the m-th L2 projection coefficient.
 

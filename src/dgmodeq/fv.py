@@ -8,9 +8,10 @@ Slopes for the second-order scheme come in the two classical flavors,
 
 with the interface value u_{j+1/2} = ubar_j + s_j/2 and no limiter.
 
-Each scheme is linear, so it is a mesh.Stencil of 1x1 blocks (fv_stencil);
-the rhs functions apply it, and the convergence study propagates it exactly
-in Fourier space (Integrator.propagate) instead of marching it.
+Each scheme is linear, so it is a mesh.Stencil of 1x1 blocks (fv_stencil),
+the same kind of data as a DG scheme (dg.update_matrices); the rhs functions
+apply it, and the convergence study propagates it exactly in Fourier space
+(Integrator.propagate) instead of marching it.
 """
 from __future__ import annotations
 

@@ -12,8 +12,8 @@ Two routes reach t_final on the same integer step schedule:
 * propagate() applies the fully discrete scheme of a linear periodic
   mesh.Stencil in Fourier space, mode by mode, in O(N log N + N log n)
   instead of O(N n).  For these linear problems it gives the marched
-  solution up to rounding.  The convergence study calls it as advance(),
-  which also returns the per-mode matrices, to judge the run's stability.
+  solution up to rounding.  It also returns the per-mode matrices it
+  applied, from which the convergence study judges the run's stability.
 """
 from __future__ import annotations
 
@@ -113,23 +113,16 @@ class Integrator:
                     raise _unstable(i + 1, i * dt + h)
         return state, n
 
-    def propagate(self, state: S, stencil: Stencil) -> tuple[S, int]:
+    def propagate(self, state: S, stencil: Stencil) -> tuple[S, int, np.ndarray]:
         """Same result as integrate(state, stencil rhs), by Fourier modes.
 
         The rfft of the state along cells splits it into modes
-        theta_k = 2 pi k / N, each advanced by one small matrix:
+        theta_k = 2 pi k / N, each multiplied by one small matrix:
         R(dt G_k/dx)^(n-1) R(dt_last G_k/dx), with G_k = stencil.symbol(theta_k)
-        and R the method's stability polynomial.  Raises RuntimeError like
-        integrate() when the result is not finite.
-        """
-        final, n, _ = self.advance(state, stencil)
-        return final, n
-
-    def advance(self, state: S, stencil: Stencil) -> tuple[S, int, np.ndarray]:
-        """propagate(), also returning the per-mode matrices it applied.
-
-        The third value stacks the (N//2 + 1, m, m) matrices of modes
-        k = 0..N//2; with no steps it is a single identity matrix.
+        and R the method's stability polynomial.  Returns (final state, number
+        of steps, amp), amp stacking those (N//2 + 1, m, m) matrices of modes
+        k = 0..N//2; with no steps it is a single identity matrix.  Raises
+        RuntimeError like integrate() when the result is not finite.
         """
         mesh = _mesh_of(state)
         n, dt, dt_last = self.schedule(mesh.dx)

@@ -245,7 +245,7 @@ def test_residual_small_grids():
     # degenerate slope coefficient measured as a decaying near-zero
     zero_info = targets[("upwind-trace", 1, 0)]
     assert abs(zero_info["estimates"][-1][1]) < 0.01
-    assert not check_residual(table, n_finest=1)
+    assert not check_residual(table)
 
 
 def test_residual_requires_doubling_and_sine():
@@ -390,7 +390,7 @@ def test_spectrum_matches_per_theta_loop(degrees, n_theta):
 
 def test_correction_small_grids():
     table = run_correction((20, 40, 80))
-    assert not check_correction(table, n_finest=1)
+    assert not check_correction(table)
     ratios = [r for r in table.column("ratio") if r is not None]
     assert all(abs(r - 4.0) < 0.1 for r in ratios)
 

@@ -26,19 +26,26 @@ def random_field(n, degree, seed):
     return ModalField(Mesh1D(n), ModalBasis(degree), rng.standard_normal((n, degree + 1)))
 
 
+def update_blocks(degree):
+    """(A, B) read back from the dg-pk stencil {0: -A, -1: +B}."""
+    stencil = update_matrices(degree)
+    blocks = dict(zip(stencil.offsets, stencil.blocks))
+    return -blocks[0], blocks[-1]
+
+
 def test_float_matrices_match_literals():
-    m1 = update_matrices(1)
-    assert np.array_equal(m1.a, [[1.0, 0.5], [-6.0, 3.0]])
-    assert np.array_equal(m1.b, [[1.0, 0.5], [-6.0, -3.0]])
-    m2 = update_matrices(2)
+    a1, b1 = update_blocks(1)
+    assert np.array_equal(a1, [[1.0, 0.5], [-6.0, 3.0]])
+    assert np.array_equal(b1, [[1.0, 0.5], [-6.0, -3.0]])
+    a2, b2 = update_blocks(2)
     assert np.allclose(
-        m2.a, [[1, SQ3, SQ5], [-SQ3, 3, SQ15], [SQ5, -SQ15, 5]], rtol=0, atol=1e-15
+        a2, [[1, SQ3, SQ5], [-SQ3, 3, SQ15], [SQ5, -SQ15, 5]], rtol=0, atol=1e-15
     )
     assert np.allclose(
-        m2.b, [[1, SQ3, SQ5], [-SQ3, -3, -SQ15], [SQ5, SQ15, 5]], rtol=0, atol=1e-15
+        b2, [[1, SQ3, SQ5], [-SQ3, -3, -SQ15], [SQ5, SQ15, 5]], rtol=0, atol=1e-15
     )
-    m0 = update_matrices(0)
-    assert np.array_equal(m0.a, [[1.0]]) and np.array_equal(m0.b, [[1.0]])
+    a0, b0 = update_blocks(0)
+    assert np.array_equal(a0, [[1.0]]) and np.array_equal(b0, [[1.0]])
 
 
 def test_two_cell_hand_oracle():

@@ -18,6 +18,7 @@ from dgmodeq.exact.basis import (
     poly_derivative,
     poly_eval,
     poly_moment,
+    projection_moment,
     trace_vector,
     volume_matrix,
     xi_moment,
@@ -163,3 +164,26 @@ def test_degree_guard_accepts_integers():
         check_degree(degree)
         assert ModalBasis(degree).degree == degree
         assert StencilSpec(degree, UPWIND_TRACE).degree == degree
+
+
+# Each cached exact-basis function with the int-degree arguments that warm it.
+CACHED_BY_DEGREE = {
+    "projection_moment": (projection_moment, (1, 1)),
+    "trace_vector": (trace_vector, (1,)),
+    "mass_diagonal": (mass_diagonal, ()),
+    "volume_matrix": (volume_matrix, ()),
+    "update_matrices_exact": (update_matrices_exact, ()),
+}
+
+
+@pytest.mark.parametrize("name", CACHED_BY_DEGREE)
+def test_warm_cache_still_rejects_equal_degrees(name):
+    # True == 1.0 == 1 and they hash alike, so an untyped cache key would hand
+    # back the degree-1 entry without running the degree guard
+    fn, rest = CACHED_BY_DEGREE[name]
+    for cached, _ in CACHED_BY_DEGREE.values():
+        cached.cache_clear()
+    fn(1, *rest)
+    for degree in (True, 1.0):
+        with pytest.raises(ValueError, match="degree"):
+            fn(degree, *rest)

@@ -2,15 +2,27 @@
 import numpy as np
 import pytest
 
-from dgmodeq import AverageField, Mesh1D, ModalBasis, ModalField, update_matrices
+from dgmodeq import (
+    SCHEMES,
+    AverageField,
+    Mesh1D,
+    ModalBasis,
+    ModalField,
+    initial_condition,
+    update_matrices,
+)
+from dgmodeq.analysis import _setup_scheme
+from dgmodeq.exact import update_matrices_exact
 from dgmodeq.fv import fv_stencil
 from dgmodeq.mesh import Stencil
 
 
 def _old_rhs_matrix(field):
-    m = update_matrices(field.degree)
+    stencil = update_matrices(field.degree)
+    blocks = dict(zip(stencil.offsets, stencil.blocks))
+    m_a, m_b = -blocks[0], blocks[-1]
     a = field.coeffs
-    return -(a @ m.a.T - np.roll(a, 1, axis=0) @ m.b.T) / field.mesh.dx
+    return -(a @ m_a.T - np.roll(a, 1, axis=0) @ m_b.T) / field.mesh.dx
 
 
 def _old_rhs_fv1(field):
@@ -30,7 +42,7 @@ def test_dg_apply_matches_matrix_formula(degree):
     rng = np.random.default_rng(degree)
     for n in (1, 2, 7, 64):
         field = ModalField(Mesh1D(n), ModalBasis(degree), rng.standard_normal((n, degree + 1)))
-        got = update_matrices(degree).stencil.apply(field)
+        got = update_matrices(degree).apply(field)
         assert isinstance(got, ModalField)
         assert np.array_equal(got.data, _old_rhs_matrix(field))
 
@@ -58,7 +70,7 @@ def test_symbol_is_rhs_of_a_fourier_mode():
     n = 12
     mesh = Mesh1D(n)
     rng = np.random.default_rng(9)
-    stencils = [update_matrices(k).stencil for k in (0, 1, 2)]
+    stencils = [update_matrices(k) for k in (0, 1, 2)]
     stencils += [fv_stencil(s) for s in ("fv1", "fv2-central", "fv2-upwind")]
     for stencil in stencils:
         m = stencil.size
@@ -94,3 +106,21 @@ def test_stencil_blocks_sorted_and_frozen():
 def test_fv_stencil_rejects_unknown_scheme():
     with pytest.raises(ValueError):
         fv_stencil("fv3")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_scheme_is_a_stencil(scheme):
+    _, stencil, _ = _setup_scheme(scheme, initial_condition("sine"), Mesh1D(8))
+    assert isinstance(stencil, Stencil)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_dg_stencil_is_demoted_exact_update(degree):
+    stencil = update_matrices(degree)
+    assert update_matrices(degree) is stencil
+    exact_a, exact_b = update_matrices_exact(degree)
+    a = np.array([[float(x) for x in row] for row in exact_a])
+    b = np.array([[float(x) for x in row] for row in exact_b])
+    assert stencil.offsets == (-1, 0)
+    blocks = dict(zip(stencil.offsets, stencil.blocks))
+    assert np.array_equal(blocks[0], -a) and np.array_equal(blocks[-1], b)

@@ -212,7 +212,7 @@ def test_propagate_matches_integrate(scheme, method):
         for t_final in (0.2345, 0.25):
             integ = Integrator(method, cfl=0.1, t_final=t_final)
             marched, n_marched = integ.integrate(state, lambda s, t: stencil.apply(s))
-            propagated, n_propagated = integ.propagate(state, stencil)
+            propagated, n_propagated, _ = integ.propagate(state, stencil)
             assert n_propagated == n_marched == integ.schedule(state.mesh.dx)[0]
             scale = np.max(np.abs(marched.data))
             assert np.max(np.abs(propagated.data - marched.data)) <= 1e-11 * scale
@@ -220,17 +220,59 @@ def test_propagate_matches_integrate(scheme, method):
 
 def test_propagate_zero_horizon_returns_input():
     field = project(lambda x: x, Mesh1D(4), 1)
-    out, steps = Integrator("ssprk3", cfl=0.1, t_final=0.0).propagate(
-        field, update_matrices(1).stencil
+    out, steps, _ = Integrator("ssprk3", cfl=0.1, t_final=0.0).propagate(
+        field, update_matrices(1)
     )
     assert steps == 0
     assert np.array_equal(out.data, field.data)
 
 
+def _taylor_stability(z, stages):
+    """sum_{q <= stages} z^q / q!, the stability polynomial of each method here."""
+    term = np.eye(z.shape[-1], dtype=complex)
+    r = term.copy()
+    for q in range(1, stages + 1):
+        term = term @ z / q
+        r = r + term
+    return r
+
+
+@pytest.mark.parametrize("scheme", ["dg-p1", "fv2-upwind"])
+@pytest.mark.parametrize("method", METHODS)
+def test_propagate_amp_is_per_step_product(scheme, method):
+    stages = {"euler": 1, "ssprk2": 2, "ssprk3": 3}[method]
+    for n_cells in (7, 8):
+        mesh = Mesh1D(n_cells)
+        state, stencil, _ = _setup_scheme(scheme, initial_condition("sine"), mesh)
+        m = stencil.size
+        integ = Integrator(method, cfl=0.1, t_final=0.2345)
+        _, n, amp = integ.propagate(state, stencil)
+        assert amp.shape == (n_cells // 2 + 1, m, m)
+        _, dt, dt_last = integ.schedule(mesh.dx)
+        assert n > 1 and dt_last < dt
+        for k in range(n_cells // 2 + 1):
+            g = stencil.symbol(2.0 * np.pi * k / n_cells) / mesh.dx
+            want = np.eye(m, dtype=complex)
+            for _ in range(n - 1):
+                want = want @ _taylor_stability(dt * g, stages)
+            want = want @ _taylor_stability(dt_last * g, stages)
+            assert np.max(np.abs(amp[k] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["dg-p1", "fv2-upwind"])
+def test_propagate_zero_steps_amp_is_identity(scheme):
+    state, stencil, _ = _setup_scheme(scheme, initial_condition("sine"), Mesh1D(6))
+    m = stencil.size
+    _, n, amp = Integrator("ssprk3", cfl=0.1, t_final=0.0).propagate(state, stencil)
+    assert n == 0
+    assert amp.shape == (1, m, m)
+    assert np.array_equal(amp[0], np.eye(m))
+
+
 def test_propagate_reports_blow_up_like_integrate():
     # the unstable run of test_convergence_records_failure_rows at N=32
     field = project(lambda x: np.sin(2 * np.pi * x), Mesh1D(32), 1)
-    stencil = update_matrices(1).stencil
+    stencil = update_matrices(1)
     integ = Integrator("euler", cfl=2.0, t_final=30.0)
     with pytest.raises(RuntimeError, match="step"):
         integ.integrate(field, lambda s, t: stencil.apply(s))
