@@ -21,18 +21,18 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
 
-from .numbers import QF, SQRT3, SQRT5
+from .numbers import ONE, QF, SQRT3, SQRT5, ZERO
 
 MAX_DEGREE = 2
 
 #: Polynomial coefficients in xi for each basis function, lowest power first.
 _BASIS_POLYS: dict[int, tuple[tuple[QF, ...], ...]] = {
-    0: ((QF(1),),),
-    1: ((QF(1),), (QF(0), QF(1))),
+    0: ((ONE,),),
+    1: ((ONE,), (ZERO, ONE)),
     2: (
-        (QF(1),),
-        (QF(0), QF(2) * SQRT3),
-        (QF(Fraction(-1, 2)) * SQRT5, QF(0), QF(6) * SQRT5),
+        (ONE,),
+        (ZERO, QF(2) * SQRT3),
+        (QF(Fraction(-1, 2)) * SQRT5, ZERO, QF(6) * SQRT5),
     ),
 }
 
@@ -62,7 +62,7 @@ def xi_moment(p: int) -> Fraction:
 
 
 def poly_eval(poly: tuple[QF, ...], xi: Fraction) -> QF:
-    acc = QF(0)
+    acc = ZERO
     for k in range(len(poly) - 1, -1, -1):
         acc = acc * QF(xi) + poly[k]
     return acc
@@ -70,13 +70,13 @@ def poly_eval(poly: tuple[QF, ...], xi: Fraction) -> QF:
 
 def poly_derivative(poly: tuple[QF, ...]) -> tuple[QF, ...]:
     if len(poly) == 1:
-        return (QF(0),)
+        return (ZERO,)
     return tuple(poly[k] * k for k in range(1, len(poly)))
 
 
 def poly_moment(poly: tuple[QF, ...], p: int) -> QF:
     """Integral of poly(xi) * xi^p over the reference cell."""
-    acc = QF(0)
+    acc = ZERO
     for k, coeff in enumerate(poly):
         if not coeff.is_zero():
             acc = acc + coeff * QF(xi_moment(k + p))
@@ -99,7 +99,7 @@ def mass_diagonal(degree: int) -> tuple[QF, ...]:
 
 
 def _product_moment(pa: tuple[QF, ...], pb: tuple[QF, ...]) -> QF:
-    acc = QF(0)
+    acc = ZERO
     for i, ca in enumerate(pa):
         if ca.is_zero():
             continue
@@ -112,9 +112,9 @@ def _product_moment(pa: tuple[QF, ...], pb: tuple[QF, ...]) -> QF:
 @lru_cache(maxsize=None, typed=True)
 def trace_vector(degree: int, side: int) -> tuple[QF, ...]:
     """Basis values at the cell edge: side=+1 for xi=1/2, side=-1 for xi=-1/2."""
-    if side not in (1, -1):
-        raise ValueError("side must be +1 or -1")
-    xi = Fraction(side, 2)
+    if isinstance(side, bool) or not isinstance(side, Integral) or side not in (1, -1):
+        raise ValueError(f"side must be the integer +1 or -1, got {side!r}")
+    xi = Fraction(int(side), 2)
     return tuple(poly_eval(p, xi) for p in basis_polynomials(degree))
 
 

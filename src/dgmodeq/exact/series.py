@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterable, Mapping
 
-from .numbers import QF, ZERO, RationalLike
+from .numbers import ONE, QF, ZERO, RationalLike
 
 #: Offsets, in units of h, that shift() accepts.  These are the only strides
 #: the one-sided interface stencils and the half-cell evaluations use.
@@ -32,6 +33,13 @@ ALLOWED_OFFSETS = (
     Fraction(1, 2),
     Fraction(-1, 2),
 )
+
+
+def _integer(value: int, name: str) -> int:
+    """value as an int; ValueError for bools and non-integers instead of truncating."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _inv_factorial(n: int) -> Fraction:
@@ -58,7 +66,7 @@ class DerivativeSeries:
         if not tup:
             raise ValueError("series needs at least the p=0 coefficient")
         object.__setattr__(self, "_coeffs", tup)
-        object.__setattr__(self, "_h_shift", int(h_shift))
+        object.__setattr__(self, "_h_shift", _integer(h_shift, "h_shift"))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DerivativeSeries is immutable")
@@ -67,12 +75,12 @@ class DerivativeSeries:
 
     @classmethod
     def zero(cls, order: int, h_shift: int = 0) -> DerivativeSeries:
-        return cls([QF(0)] * (order + 1), h_shift)
+        return cls([ZERO] * (order + 1), h_shift)
 
     @classmethod
     def unit(cls, order: int) -> DerivativeSeries:
         """The series of u(x) itself: c_0 = 1."""
-        return cls([QF(1)] + [QF(0)] * order, 0)
+        return cls([ONE] + [ZERO] * order, 0)
 
     @classmethod
     def from_terms(
@@ -81,7 +89,7 @@ class DerivativeSeries:
         order: int,
         h_shift: int = 0,
     ) -> DerivativeSeries:
-        coeffs = [QF(0)] * (order + 1)
+        coeffs = [ZERO] * (order + 1)
         for p, coeff in terms.items():
             if not 0 <= p <= order:
                 raise ValueError(f"term index {p} outside truncation order {order}")
@@ -174,13 +182,14 @@ class DerivativeSeries:
 
     def div_h(self, power: int = 1) -> DerivativeSeries:
         """Divide by h**power: pure h bookkeeping, coefficients untouched."""
+        power = _integer(power, "power")
         if power < 0:
             raise ValueError("power must be nonnegative")
         return DerivativeSeries(self._coeffs, self._h_shift - power)
 
     def differentiated(self) -> DerivativeSeries:
         """d/dx of the series; every u^(p) h^q term becomes u^(p+1) h^q."""
-        return DerivativeSeries((QF(0),) + self._coeffs, self._h_shift - 1)
+        return DerivativeSeries((ZERO,) + self._coeffs, self._h_shift - 1)
 
     def truncated(self, order: int) -> DerivativeSeries:
         if order > self.order:

@@ -187,3 +187,18 @@ def test_warm_cache_still_rejects_equal_degrees(name):
     for degree in (True, 1.0):
         with pytest.raises(ValueError, match="degree"):
             fn(degree, *rest)
+
+
+@pytest.mark.parametrize("side", [True, 1.0, 0, 2, "1"], ids=repr)
+def test_trace_vector_rejects_bad_sides(side):
+    # True == 1.0 == 1, yet only the integers +1 and -1 name an edge
+    trace_vector.cache_clear()
+    trace_vector(1, 1)
+    with pytest.raises(ValueError, match="side"):
+        trace_vector(1, side)
+
+
+def test_trace_vector_accepts_numpy_integer_sides():
+    np = pytest.importorskip("numpy")
+    assert trace_vector(2, np.int64(1)) == trace_vector(2, 1)
+    assert trace_vector(2, np.int32(-1)) == trace_vector(2, -1)

@@ -1,4 +1,5 @@
 """Arithmetic in Q(sqrt(3), sqrt(5)) must be exact, closed and total."""
+import math
 import random
 from fractions import Fraction
 
@@ -205,3 +206,71 @@ def test_arithmetic_matches_componentwise_definitions():
             assert isinstance(got, QF)
             assert _components(got) == want, (x, y, got)
             assert all(type(c) is Fraction for c in _components(got)), repr(got)
+
+
+BIG = 10**30
+
+
+def _big_fraction(rng, nonzero=False):
+    while True:
+        value = Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+        if value or not nonzero:
+            return value
+
+
+def _big_qf(rng):
+    """A QF whose components are zero with probability 1/4, else up to 10**30 over 10**30."""
+    return QF(*(Fraction(0) if rng.random() < 0.25 else _big_fraction(rng) for _ in range(4)))
+
+
+def test_float_demotion_is_componentwise_for_large_values():
+    rng = random.Random(1729)
+    for _ in range(2000):
+        x = _big_qf(rng)
+        want = (
+            float(x.a)
+            + float(x.b) * math.sqrt(3)
+            + float(x.c) * math.sqrt(5)
+            + float(x.d) * math.sqrt(15)
+        )
+        assert float(x) == want, repr(x)
+
+
+def _assert_same_value(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+    # the stored form is canonical: int numerators over a positive int
+    # denominator, all five coprime
+    assert all(type(v) is int for v in got._n) and type(got._den) is int
+    assert got._den > 0 and math.gcd(*got._n, got._den) == 1
+
+
+def test_equal_values_from_different_routes_share_repr_and_hash():
+    rng = random.Random(4099)
+    for _ in range(2000):
+        x = _big_qf(rng)
+        comps = [0, 0, 0, 0]
+        comps[rng.randrange(4)] = _big_fraction(rng, nonzero=True)
+        y = QF(*comps)
+        k = rng.randint(2, 10**6)
+        for got in (
+            x * y / y,
+            (x + y) - y,
+            -(-x),
+            x * k / k,
+            x.a + x.b * SQRT3 + x.c * SQRT5 + x.d * SQRT15,
+        ):
+            _assert_same_value(got, x)
+        _assert_same_value(x - x, ZERO)
+        r = _big_fraction(rng)
+        for got in (
+            QF.rational(r.numerator * k, r.denominator * k),
+            QF.coerce(r),
+            QF(r.numerator) / r.denominator,
+            ZERO + r,
+        ):
+            _assert_same_value(got, QF(r))
+    _assert_same_value(QF(Fraction(2, 4)), QF(Fraction(1, 2)))
+    _assert_same_value(QF(0, Fraction(2, 4)), QF(0, Fraction(1, 2)))
+    _assert_same_value(QF.rational(2, 4), QF(Fraction(1, 2)))

@@ -170,3 +170,23 @@ def test_shift_and_combinations_match_reference():
             assert (s - t).coeffs == tuple(a + (-b) for a, b in zip(s.coeffs, t.coeffs))
             for result in (s.shift(1), s.scaled(factor), s - t):
                 assert all(type(x) is Fraction for c in result.coeffs for x in (c.a, c.b, c.c, c.d))
+
+
+@pytest.mark.parametrize("value", [1.5, 0.5, 1.0, True, "1"], ids=repr)
+def test_h_powers_must_be_integers(value):
+    # int() would truncate 1.5 to 1 and read True as 1 without a word
+    with pytest.raises(ValueError, match="h_shift"):
+        DerivativeSeries([1, 2], h_shift=value)
+    with pytest.raises(ValueError, match="power"):
+        DerivativeSeries([1, 2]).div_h(value)
+
+
+def test_h_powers_accept_integers():
+    np = pytest.importorskip("numpy")
+    for value in (2, -3, np.int64(2), np.int32(-3)):
+        s = DerivativeSeries([1, 2], h_shift=value)
+        assert s.h_shift == int(value) and type(s.h_shift) is int
+    s = DerivativeSeries([1, 2], h_shift=1)
+    assert s.div_h(np.int64(2)).h_shift == -1
+    assert type(s.div_h(np.int64(2)).h_shift) is int
+    assert s.div_h(0).h_shift == 1
