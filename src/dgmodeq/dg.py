@@ -15,7 +15,9 @@ can check the other:
   {0: -A, -1: +B} (fv.fv_stencil is the FV one); it gives symbol(), the
   per-wavenumber amplification generator, and drives the exact Fourier
   propagator (Integrator.propagate) of the convergence study.  rhs_weak
-  never touches the stencil, so marching with it stays independent.
+  never touches the stencil, so marching with it stays independent, and
+  the exact laws of exact.modeq come from the same weak form (traces,
+  volume matrix, mass) without reading A or B.
 
 correction_term() gives the discrete curvature defect used by the
 second-moment studies.

@@ -12,8 +12,8 @@ the one-sided update matrices A, B of
 
     dx * d a^j/dt + A a^j - B a^{j-1} = 0.
 
-The floating-point side of the package demotes these tables exactly once,
-so the irrational entries are rounded at a single site.
+The floating-point stencil demotes A and B exactly once, so the irrational
+entries are rounded at a single site; the exact laws (modeq) never read them.
 """
 from __future__ import annotations
 
@@ -99,14 +99,8 @@ def mass_diagonal(degree: int) -> tuple[QF, ...]:
 
 
 def _product_moment(pa: tuple[QF, ...], pb: tuple[QF, ...]) -> QF:
-    acc = ZERO
-    for i, ca in enumerate(pa):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(pb):
-            if not cb.is_zero():
-                acc = acc + ca * cb * QF(xi_moment(i + j))
-    return acc
+    """Integral of pa(xi) * pb(xi) over the reference cell."""
+    return sum((cb * poly_moment(pa, j) for j, cb in enumerate(pb) if cb), ZERO)
 
 
 @lru_cache(maxsize=None, typed=True)

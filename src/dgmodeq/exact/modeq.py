@@ -1,14 +1,14 @@
 """Exact modified-equation (Taylor-table) engine for the modal updates.
 
 For smooth data, each modal coefficient of the L2 projection is a formal
-series in cell-centered derivatives of u (basis_moments).  Feeding those
-series through a semi-discrete update written either with upwind traces or
-with exact interface point values produces the evolution law each
-coefficient obeys, with every term exact in Q[sqrt(3), sqrt(5)]:
+series in cell-centered derivatives of u (basis_moments).  Every coefficient
+evolves by one weak-form balance, exact in Q[sqrt(3), sqrt(5)]:
 
-    upwind traces:   d a_m/dt = -(1/h) [A a(x) - B a(x - h)]_m
-    exact points:    d a_m/dt = -(1/(h M_m)) [U(x + h/2) phi_m(1/2)
-                                 - U(x - h/2) phi_m(-1/2) - sum_n V[m][n] a_n(x)]
+    d a_m/dt = -[U_R phi_m(1/2) - U_L phi_m(-1/2) - sum_n V[m][n] a_n(x)] / (h M_m)
+
+The interface modes differ only in U_R, U_L, the values at x +- h/2: upwind
+traces take U_R = sum_n phi_n(1/2) a_n(x) and U_L = U_R(x - h); exact points
+take U(x + h/2) and U(x - h/2).  The float stencil's A, B are never read.
 
 moment_evolution_laws then divides by the leading moment scale of a_m,
 which must leave purely rational coefficients; any surviving surd component
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from numbers import Integral
 
 from .basis import (
@@ -30,9 +30,11 @@ from .basis import (
     mass_diagonal,
     projection_moment,
     trace_vector,
-    update_matrices_exact,
     volume_matrix,
 )
+# Not called here, but kept importable from this module so the benchmark's
+# tracer (perfbench/spans.py) can wrap it where it wraps the others.
+from .basis import update_matrices_exact  # noqa: F401
 from .numbers import QF
 from .series import DerivativeSeries, _inv_factorial
 
@@ -100,35 +102,16 @@ def _basis_moments(degree: int, order: int) -> tuple[DerivativeSeries, ...]:
 def modified_equation(spec: StencilSpec) -> list[DerivativeSeries]:
     """Evolution series d a_m/dt for every moment m, paired as h_shift = -1."""
     moments = basis_moments(spec.degree, spec.order)
-    if spec.mode == UPWIND_TRACE:
-        return _upwind_trace_equations(spec, moments)
-    return _exact_point_equations(spec, moments)
-
-
-def _upwind_trace_equations(
-    spec: StencilSpec, moments: list[DerivativeSeries]
-) -> list[DerivativeSeries]:
-    a_mat, b_mat = update_matrices_exact(spec.degree)
-    shifted = [s.shift(-1) for s in moments]
-    out = []
-    for m in range(spec.degree + 1):
-        acc = DerivativeSeries.zero(spec.order)
-        for n in range(spec.degree + 1):
-            acc = acc + moments[n].scaled(a_mat[m][n]) - shifted[n].scaled(b_mat[m][n])
-        out.append((-acc).div_h())
-    return out
-
-
-def _exact_point_equations(
-    spec: StencilSpec, moments: list[DerivativeSeries]
-) -> list[DerivativeSeries]:
-    unit = DerivativeSeries.unit(spec.order)
-    u_right = unit.shift(Fraction(1, 2))
-    u_left = unit.shift(Fraction(-1, 2))
     tr = trace_vector(spec.degree, +1)
     tl = trace_vector(spec.degree, -1)
     vol = volume_matrix(spec.degree)
     mass = mass_diagonal(spec.degree)
+    if spec.mode == UPWIND_TRACE:
+        u_right = reduce(DerivativeSeries.__add__, map(DerivativeSeries.scaled, moments, tr))
+        u_left = u_right.shift(-1)
+    else:
+        unit = DerivativeSeries.unit(spec.order)
+        u_right, u_left = unit.shift(Fraction(1, 2)), unit.shift(Fraction(-1, 2))
     out = []
     for m in range(spec.degree + 1):
         acc = u_right.scaled(tr[m]) - u_left.scaled(tl[m])

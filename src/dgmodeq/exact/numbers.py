@@ -81,6 +81,10 @@ class QF:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QF values are immutable")
 
+    def __reduce__(self) -> tuple:
+        # the default slot-state restore would go through __setattr__
+        return QF, (self.a, self.b, self.c, self.d)
+
     @property
     def a(self) -> Fraction:
         """Rational component."""

@@ -71,11 +71,11 @@ class DerivativeSeries:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DerivativeSeries is immutable")
 
-    # -- constructors ------------------------------------------------------
+    def __reduce__(self) -> tuple:
+        # the default slot-state restore would go through __setattr__
+        return DerivativeSeries, (self._coeffs, self._h_shift)
 
-    @classmethod
-    def zero(cls, order: int, h_shift: int = 0) -> DerivativeSeries:
-        return cls([ZERO] * (order + 1), h_shift)
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def unit(cls, order: int) -> DerivativeSeries:

@@ -34,6 +34,9 @@ STABILITY = {
 }
 METHODS = tuple(STABILITY)
 
+#: Longest schedule counted: at 1e13 steps the count's slack is 0.02 step.
+MAX_STEPS = 1e13
+
 
 class FieldLike(Protocol):
     @property
@@ -71,12 +74,15 @@ class Integrator:
     def schedule(self, dx: float) -> tuple[int, float, float]:
         """(n, dt, dt_last): step i starts at t = i*dt, the last one is shortened.
 
-        n is the integer count ceil(t_final/dt), less a relative 1e-12 so
-        rounding in t_final/dt never adds a sliver step.
+        n is ceil(q) for q = t_final/dt, less a slack of 1e-9 step plus the
+        rounding of q, so rounding never adds a sliver step.  A q above
+        MAX_STEPS raises ValueError; past 2**52 a double cannot count steps.
         """
         dt = self.cfl * dx
-        tiny = 1e-12 * max(1.0, self.t_final)
-        n = max(0, math.ceil((self.t_final - tiny) / dt))
+        q = self.t_final / dt
+        if not q <= MAX_STEPS:
+            raise ValueError(f"t_final/dt = {q:.3g} steps exceeds the limit of {MAX_STEPS:g}")
+        n = max(0, math.ceil(q - (1e-9 + 8.0 * math.ulp(1.0) * q)))
         return n, dt, self.t_final - max(n - 1, 0) * dt
 
     def step(self, state: S, rhs: Callable[[S, float], S], dt: float, t: float = 0.0) -> S:

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from dgmodeq import cli
-from dgmodeq.exact import modeq
+from dgmodeq.analysis import check_taylor
+from dgmodeq.exact import basis, modeq
 from dgmodeq.exact import (
     EXACT_POINT,
     UPWIND_TRACE,
@@ -23,6 +24,7 @@ from dgmodeq.exact import (
     modified_equation,
     moment_evolution_laws,
     moment_leading_scale,
+    update_matrices_exact,
 )
 from dgmodeq.exact.series import _taylor_weights
 
@@ -279,3 +281,45 @@ def test_taylor_assert_derives_each_law_once(capsys):
     assert cli.main(["taylor", "--assert"]) == 0, capsys.readouterr()
     assert modeq._evolution_laws.cache_info().misses == 4
     assert modeq._correction_series.cache_info().misses == 1
+
+
+# ----------------------------------------------------------------------
+# the laws are derived from the weak form, not from the stencil's A and B
+
+
+def test_laws_do_not_read_the_update_matrices(monkeypatch):
+    # a wrong A or B must not be able to hide in both routes at once
+    wanted = {
+        (degree, mode): moment_evolution_laws(StencilSpec(degree, mode))
+        for degree in (0, 1, 2)
+        for mode in (UPWIND_TRACE, EXACT_POINT)
+    }
+
+    def forbidden(degree):
+        raise AssertionError("the exact laws read update_matrices_exact")
+
+    monkeypatch.setattr(basis, "update_matrices_exact", forbidden)
+    monkeypatch.setattr(modeq, "update_matrices_exact", forbidden)
+    _clear_caches()
+    for (degree, mode), laws in wanted.items():
+        derived = moment_evolution_laws(StencilSpec(degree, mode))
+        assert derived == laws
+        for law in derived:
+            if (degree, mode, law.moment) in LAWS:
+                assert law.coeffs == LAWS[(degree, mode, law.moment)]
+    assert check_taylor() == []
+
+
+@pytest.mark.parametrize("order", [5, 8, 12])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_update_matrices_realise_the_upwind_weak_form(degree, order):
+    # d a_m/dt = -(sum_n A_mn a_n(x) - B_mn a_n(x - h)) / h, exactly
+    a_mat, b_mat = update_matrices_exact(degree)
+    moments = basis_moments(degree, order)
+    rhs = modified_equation(StencilSpec(degree, UPWIND_TRACE, order))
+    for m in range(degree + 1):
+        terms = [
+            moments[n].scaled(a_mat[m][n]) - moments[n].shift(-1).scaled(b_mat[m][n])
+            for n in range(degree + 1)
+        ]
+        assert (-sum(terms[1:], terms[0])).div_h() == rhs[m]

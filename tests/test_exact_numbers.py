@@ -1,5 +1,7 @@
 """Arithmetic in Q(sqrt(3), sqrt(5)) must be exact, closed and total."""
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -160,6 +162,32 @@ def test_hash_consistent_with_eq():
 def test_immutability():
     with pytest.raises(AttributeError):
         SQRT3.b = Fraction(2)
+
+
+def _kinded_qf(rng, kind):
+    """A zero, rational, single-surd or mixed value."""
+    def part():
+        return Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+
+    if kind == "zero":
+        return QF(0)
+    if kind == "rational":
+        return QF(part())
+    if kind == "single":
+        parts = [0, 0, 0, 0]
+        parts[rng.randrange(4)] = part()
+        return QF(*parts)
+    return QF(*(part() for _ in range(4)))
+
+
+@pytest.mark.parametrize("kind", ["zero", "rational", "single", "mixed"])
+def test_copy_and_pickle_round_trips(kind):
+    rng = random.Random(f"copy-{kind}")
+    for _ in range(200):
+        x = _kinded_qf(rng, kind)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            assert (y._n, y._den) == (x._n, x._den)
 
 
 def test_coerce_accepts_int_fraction_qf():

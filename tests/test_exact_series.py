@@ -1,5 +1,7 @@
 """Truncated derivative series: shifts, products, h bookkeeping."""
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -190,3 +192,13 @@ def test_h_powers_accept_integers():
     assert s.div_h(np.int64(2)).h_shift == -1
     assert type(s.div_h(np.int64(2)).h_shift) is int
     assert s.div_h(0).h_shift == 1
+
+
+def test_copy_and_pickle_round_trips():
+    rng = random.Random(2026)
+    for n in range(1, 12):
+        for h_shift in (-2, -1, 1, 3):
+            s = DerivativeSeries(_sparse_series(rng, n).coeffs, h_shift)
+            for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+                assert t == s and hash(t) == hash(s)
+                assert t.h_shift == h_shift

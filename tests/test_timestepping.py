@@ -18,7 +18,7 @@ from dgmodeq import (
     update_matrices,
 )
 from dgmodeq.analysis import _setup_scheme
-from dgmodeq.timestepping import METHODS
+from dgmodeq.timestepping import MAX_STEPS, METHODS
 
 
 class _Scalar:
@@ -189,6 +189,49 @@ def test_schedule_exact_count_property():
             # the last step may absorb rounding up to the schedule's 1e-12 guard
             assert 0.0 < dt_last <= dt + 1e-12 * max(1.0, float(periods))
             assert abs((n - 1) * dt + dt_last - float(periods)) <= 4e-16 * float(periods)
+
+
+@pytest.mark.parametrize(
+    "cfl, n_cells, steps", [(1e-10, 160, 1_600_000_000_000), (1e-12, 1, 1_000_000_000_000)]
+)
+def test_schedule_counts_past_1e12_steps(cfl, n_cells, steps):
+    # an absolute 1e-12 slack is more than a step here, so n fell one short
+    # and the last step doubled
+    n, dt, dt_last = Integrator("ssprk3", cfl=cfl, t_final=1.0).schedule(Mesh1D(n_cells).dx)
+    assert n == steps
+    assert dt_last == pytest.approx(dt, rel=1e-3)
+
+
+def test_schedule_rejects_schedules_past_the_limit():
+    integ = Integrator("ssprk3", cfl=1e-12, t_final=1.0)
+    assert MAX_STEPS >= 1.6e12
+    with pytest.raises(ValueError, match="limit"):
+        integ.schedule(Mesh1D(1000).dx)
+
+
+def test_schedule_last_step_property():
+    # seeded draws of cfl 1e-12..1, 1..1000 cells and t_final up to 1e6:
+    # the last step is positive, at most dt up to rounding, and lands on t_final
+    rng = np.random.default_rng(1012)
+    eps = np.finfo(float).eps
+    counted = 0
+    for _ in range(20000):
+        cfl = 10.0 ** rng.uniform(-12.0, 0.0)
+        n_cells = int(rng.integers(1, 1001))
+        t_final = 10.0 ** rng.uniform(-6.0, 6.0)
+        integ = Integrator("ssprk3", cfl=cfl, t_final=t_final)
+        dx = Mesh1D(n_cells).dx
+        if t_final / (cfl * dx) > MAX_STEPS:
+            with pytest.raises(ValueError, match="limit"):
+                integ.schedule(dx)
+            continue
+        n, dt, dt_last = integ.schedule(dx)
+        counted += 1
+        case = (cfl, n_cells, t_final, n)
+        assert n >= 1, case
+        assert 0.0 < dt_last <= dt + 16 * eps * t_final, case
+        assert abs((n - 1) * dt + dt_last - t_final) <= 4 * eps * t_final, case
+    assert counted > 10000
 
 
 @pytest.mark.parametrize("bad", [{"cfl": np.nan}, {"cfl": np.inf}, {"t_final": np.nan}, {"t_final": np.inf}])
