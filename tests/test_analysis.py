@@ -625,6 +625,16 @@ def test_import_does_not_load_cli():
     assert result.stdout.strip() == "False"
 
 
+def test_python_m_dgmodeq_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(dgmodeq.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "dgmodeq", "taylor", "--assert"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "PASS" in result.stdout
+
+
 def test_cli_seed_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--grids", "10,20", "--seed", "0"])

@@ -1,5 +1,8 @@
 """SSP Runge-Kutta steppers: amplification factors, orders, stability."""
+import decimal
 import math
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -323,3 +326,92 @@ def test_propagate_reports_blow_up_like_integrate():
         integ.propagate(field, stencil)
     table = run_convergence(RunConfig("dg-p1", (32,), cfl=2.0, periods=30.0, integrator="euler"))
     assert table.column("status") == ["failed"]
+
+
+@pytest.mark.parametrize("scheme", ["dg-p1", "dg-p2"])
+def test_propagate_has_no_rounding_floor_at_small_cfl(scheme):
+    # At cfl 1e-9 the N=160 run takes 1.6e11 steps.  A propagator that forms
+    # R = I + dt G + ... before powering loses about eps per step, which put
+    # dg-p2 13x above its converged error there with every row reading ok.
+    grids = (40, 80, 160)
+    want = run_convergence(RunConfig(scheme, grids, cfl=1e-4)).column("l2")
+    got = run_convergence(RunConfig(scheme, grids, cfl=1e-9)).column("l2")
+    assert np.allclose(got, want, rtol=1e-6, atol=0.0)
+
+
+def _decimal_ssprk3_amp(g, dt, dt_last, n):
+    """R(dt g)^(n-1) R(dt_last g) at 40 digits, taking the float g as exact.
+
+    Complex entries are (re, im) pairs of Decimals and R(z) = I + z + z^2/2
+    + z^3/6 is formed with its identity term; at 40 digits the n = 1600
+    steps below cost about 1e-37.  Takes 1-3 ms per mode on a 2-vCPU Xeon.
+    """
+    m = len(g)
+
+    def mul(a, b):
+        return [
+            [
+                (
+                    sum(a[i][l][0] * b[l][j][0] - a[i][l][1] * b[l][j][1] for l in range(m)),
+                    sum(a[i][l][0] * b[l][j][1] + a[i][l][1] * b[l][j][0] for l in range(m)),
+                )
+                for j in range(m)
+            ]
+            for i in range(m)
+        ]
+
+    def stability(h):
+        h = Decimal(h)
+        z = [[(h * Decimal(v.real), h * Decimal(v.imag)) for v in row] for row in g]
+        r = [[(Decimal(int(i == j)), Decimal(0)) for j in range(m)] for i in range(m)]
+        for q in (3, 2, 1):  # I + z (I + z/2 (I + z/3))
+            zr = mul(z, r)
+            r = [[(int(i == j) + re / q, im / q) for j, (re, im) in enumerate(row)]
+                 for i, row in enumerate(zr)]
+        return r
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        amp, base, p = stability(dt_last), stability(dt), n - 1
+        while p:
+            if p & 1:
+                amp = mul(base, amp)
+            base = mul(base, base)
+            p >>= 1
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in amp])
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_propagate_amp_matches_decimal_reference(k):
+    # dg-p2 at N=160 and the default cfl 0.1: 1600 steps.  Forming R = I + E
+    # before powering was off by 9.6e-14 (k=1) and 3.2e-14 (k=7); carrying E
+    # is off by about 1e-15 and 7e-15.
+    mesh = Mesh1D(160)
+    state, stencil, _ = _setup_scheme("dg-p2", initial_condition("sine"), mesh)
+    integ = Integrator()
+    _, n, amp = integ.propagate(state, stencil)
+    _, dt, dt_last = integ.schedule(mesh.dx)
+    g = stencil.symbol(2.0 * np.pi * k / mesh.n_cells) / mesh.dx
+    assert n == 1600
+    assert np.max(np.abs(amp[k] - _decimal_ssprk3_amp(g, dt, dt_last, n))) <= 1e-14
+
+
+def test_propagate_peak_memory():
+    # 320 KiB is the peak of the matrix_power propagator that the E-form one
+    # replaced (dg-p2, N=640, numpy 2.4.6); faster must not mean larger.
+    state, stencil, _ = _setup_scheme("dg-p2", initial_condition("sine"), Mesh1D(640))
+    integ = Integrator()
+    integ.propagate(state, stencil)  # first-call numpy state is not the kernel's
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = integ.propagate(state, stencil)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert result[1] == 6400
+    assert peak <= 320 * 1024
