@@ -24,7 +24,7 @@ class Mesh1D:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_cells, int) or self.n_cells < 1:
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, int) or self.n_cells < 1:
             raise ValueError(f"n_cells must be a positive integer, got {self.n_cells}")
 
     @property

@@ -47,7 +47,7 @@ LADDER = (40, 80, 160, 320)
 def convergence_ladders():
     tables = {}
     start = time.perf_counter()
-    for scheme in ("dg-p1", "dg-p2", "fv1", "fv2-central"):
+    for scheme in ("dg-p1", "dg-p2", "fv1", "fv2-central", "fv2-upwind"):
         tables[scheme] = run_convergence(RunConfig(scheme, LADDER))
     tables["elapsed"] = time.perf_counter() - start
     return tables
@@ -191,6 +191,7 @@ def test_criterion_10_convergence_orders(convergence_ladders):
         "dg-p2": (2.7, 3.3),
         "fv1": (0.9, 1.1),
         "fv2-central": (1.8, 2.2),
+        "fv2-upwind": (1.8, 2.2),
     }
     for scheme, (lo, hi) in bands.items():
         order = convergence_ladders[scheme].meta["fitted_l2_order"][scheme]

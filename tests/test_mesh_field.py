@@ -18,6 +18,8 @@ def test_mesh_validation():
         Mesh1D(0)
     with pytest.raises(ValueError):
         Mesh1D(-3)
+    with pytest.raises(ValueError, match="n_cells"):
+        Mesh1D(True)  # an int equal to 1: a 1-cell mesh whose n_cells is True
 
 
 def test_project_linear_single_cell():
