@@ -19,10 +19,8 @@ only once its growth passes 1e-6.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from numbers import Integral
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -38,6 +36,8 @@ from .exact import (
     moment_evolution_laws,
     moment_leading_scale,
 )
+from .exact.basis import check_degree
+from .exact.numbers import check_finite, checked_int
 from .field import Norms, error_norms, project
 from .fv import average_error_norms, fv_stencil, project_averages
 # Not called here, but kept importable from this module so the benchmark's
@@ -135,11 +135,9 @@ def exact_solution(ic: InitialCondition, t: float) -> Callable[[np.ndarray], np.
 
 def _checked_grids(grids: Sequence[int]) -> tuple[int, ...]:
     """grids as a tuple of strictly increasing positive cell counts, else ValueError."""
-    if any(isinstance(n, bool) or not isinstance(n, Integral) for n in grids):
-        raise ValueError(f"grids must be integer cell counts, got {tuple(grids)!r}")
-    grids = tuple(int(n) for n in grids)
-    if not grids or any(n < 1 for n in grids):
-        raise ValueError(f"grids must be positive cell counts, got {grids}")
+    grids = tuple(checked_int(n, "grids", 1) for n in grids)
+    if not grids:
+        raise ValueError("grids must name at least one cell count")
     if any(b <= a for a, b in zip(grids, grids[1:])):
         raise ValueError(f"grids must be strictly increasing, got {grids}")
     return grids
@@ -172,10 +170,8 @@ class RunConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         object.__setattr__(self, "grids", _checked_grids(self.grids))
-        if not (math.isfinite(self.cfl) and self.cfl > 0.0):
-            raise ValueError(f"cfl must be positive and finite, got {self.cfl}")
-        if not (math.isfinite(self.periods) and self.periods >= 0.0):
-            raise ValueError(f"periods must be nonnegative and finite, got {self.periods}")
+        check_finite(self.cfl, "cfl")
+        check_finite(self.periods, "periods", zero_ok=True)
         if self.integrator not in METHODS:
             raise ValueError(f"integrator must be one of {METHODS}")
         initial_condition(self.ic)  # validates the spec string
@@ -244,9 +240,13 @@ def _setup_scheme(scheme: str, ic: InitialCondition, mesh: Mesh1D):
     return project_averages(ic.fn, mesh), fv_stencil(scheme), average_error_norms
 
 
+def _measured(err: float | None) -> bool:
+    return err is not None and np.isfinite(err) and err > 0.0
+
+
 def _fit_order(ns: Sequence[int], errs: Sequence[float]) -> float | None:
     """Least-squares slope of log(err) against log(dx)."""
-    pairs = [(n, e) for n, e in zip(ns, errs) if e is not None and np.isfinite(e) and e > 0.0]
+    pairs = [(n, e) for n, e in zip(ns, errs) if _measured(e)]
     if len(pairs) < 2:
         return None
     log_dx = np.log([1.0 / n for n, _ in pairs])
@@ -275,7 +275,7 @@ _CONV_COLUMNS = (
 
 
 def _eoc(n_prev: int, e_prev: float | None, n: int, err: float | None) -> float | None:
-    if not all(e is not None and np.isfinite(e) and e > 0.0 for e in (e_prev, err)):
+    if not (_measured(e_prev) and _measured(err)):
         return None
     return float(np.log(e_prev / err) / np.log(n / n_prev))
 
@@ -474,11 +474,10 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
     meta['max_re'] maps degree -> max real part over all samples;
     meta['theta0'] maps degree -> the sorted eigenvalues at theta = 0.
     """
-    degrees = tuple(degrees)
+    degrees = tuple(check_degree(d) for d in degrees)
     if not degrees:
         raise ValueError("spectrum needs at least one degree")
-    if n_theta < 1:
-        raise ValueError(f"spectrum needs at least one theta sample, got n_theta={n_theta}")
+    n_theta = checked_int(n_theta, "n_theta", 1)
     name = f"spectrum_p{degrees[0]}" if len(degrees) == 1 else "spectrum"
     table = ResultTable(name, _SPECTRUM_COLUMNS)
     max_re = table.meta.setdefault("max_re", {})

@@ -12,16 +12,16 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import basis as _exact
+from .exact.numbers import checked_int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre_halfcell(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on the reference cell [-1/2, 1/2].
 
     The arrays are cached and read-only.
     """
-    if n_nodes < 1:
-        raise ValueError("need at least one quadrature node")
+    n_nodes = checked_int(n_nodes, "n_nodes", 1)
     # Newton's method on P_n from the standard initial guesses.
     x = np.cos(np.pi * (np.arange(n_nodes, 0, -1) - 0.25) / (n_nodes + 0.5))
     for _ in range(100):
@@ -57,8 +57,7 @@ class ModalBasis:
     """
 
     def __init__(self, degree: int) -> None:
-        _exact.check_degree(degree)
-        self._degree = degree
+        self._degree = degree = _exact.check_degree(degree)
         polys = _exact.basis_polynomials(degree)
         n = degree + 1
         coeff = np.zeros((n, n))

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import (
+    DG_DEGREE,
     EOC_BANDS,
     SCHEMES,
     SPECTRUM_SAMPLES,
@@ -48,7 +49,8 @@ from .analysis import (
 )
 from .timestepping import METHODS
 
-_SPECTRUM_DEGREE = {"dg-p1": 1, "dg-p2": 2, "fv1": 0}
+#: fv1 is the P0 DG stencil {0: -1, -1: 1}, so its spectrum is degree 0's.
+_SPECTRUM_DEGREE = {**DG_DEGREE, "fv1": 0}
 
 
 def _parse_grids(text: str) -> tuple[int, ...]:

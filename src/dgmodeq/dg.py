@@ -56,7 +56,7 @@ class ExactInterface:
 FluxRule = Upwind | ExactInterface
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def update_matrices(degree: int) -> Stencil:
     """The degree-0/1/2 update as a stencil per unit dx: {0: -A, -1: +B}."""
     exact_a, exact_b = _exact.update_matrices_exact(degree)

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 
-from .numbers import ONE, QF, SQRT3, SQRT5, ZERO
+from .numbers import ONE, QF, SQRT3, SQRT5, ZERO, checked_int
 
 MAX_DEGREE = 2
 
@@ -37,25 +36,19 @@ _BASIS_POLYS: dict[int, tuple[tuple[QF, ...], ...]] = {
 }
 
 
-def check_degree(degree: int) -> None:
-    """Reject anything but an integer basis degree in 0..MAX_DEGREE (bools too).
-
-    The caches below are typed, so True or 1.0 never hits degree 1's entry.
-    """
-    if isinstance(degree, bool) or not isinstance(degree, Integral) or not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"degree must be an integer from 0 to {MAX_DEGREE}, got {degree!r}")
+def check_degree(degree: int) -> int:
+    """degree as an int in 0..MAX_DEGREE; the caches below are typed, so 1.0 misses 1's entry."""
+    return checked_int(degree, "degree", 0, MAX_DEGREE)
 
 
 def basis_polynomials(degree: int) -> tuple[tuple[QF, ...], ...]:
     """Exact polynomial coefficients (in xi, ascending) of each basis function."""
-    check_degree(degree)
-    return _BASIS_POLYS[degree]
+    return _BASIS_POLYS[check_degree(degree)]
 
 
 def xi_moment(p: int) -> Fraction:
     """Integral of xi^p over [-1/2, 1/2]: zero for odd p, 2^-p/(p+1) even."""
-    if p < 0:
-        raise ValueError("moment order must be nonnegative")
+    p = checked_int(p, "moment order", 0)
     if p % 2 == 1:
         return Fraction(0)
     return Fraction(1, (p + 1) * 2**p)
@@ -106,9 +99,10 @@ def _product_moment(pa: tuple[QF, ...], pb: tuple[QF, ...]) -> QF:
 @lru_cache(maxsize=None, typed=True)
 def trace_vector(degree: int, side: int) -> tuple[QF, ...]:
     """Basis values at the cell edge: side=+1 for xi=1/2, side=-1 for xi=-1/2."""
-    if isinstance(side, bool) or not isinstance(side, Integral) or side not in (1, -1):
-        raise ValueError(f"side must be the integer +1 or -1, got {side!r}")
-    xi = Fraction(int(side), 2)
+    side = checked_int(side, "side", -1, 1)
+    if not side:
+        raise ValueError("side must be +1 or -1, got 0")
+    xi = Fraction(side, 2)
     return tuple(poly_eval(p, xi) for p in basis_polynomials(degree))
 
 
@@ -160,8 +154,6 @@ def projection_moment(degree: int, m: int, p: int) -> QF:
 
     and this returns the moment ratio (integral phi_m xi^p) / M_m.
     """
-    check_degree(degree)
     polys = basis_polynomials(degree)
-    if not 0 <= m < len(polys):
-        raise ValueError(f"moment index {m} outside degree-{degree} basis")
+    m = checked_int(m, "moment index", 0, len(polys) - 1)
     return poly_moment(polys[m], p) / mass_diagonal(degree)[m]

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from numbers import Integral
 
 from .basis import (
     check_degree,
@@ -35,7 +34,7 @@ from .basis import (
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap it where it wraps the others.
 from .basis import update_matrices_exact  # noqa: F401
-from .numbers import QF
+from .numbers import QF, checked_int
 from .series import DerivativeSeries, _inv_factorial
 
 #: Interface-value modes for the symbolic stencil.
@@ -55,14 +54,6 @@ class DerivationError(ValueError):
     """Raised when a symbolic derivation violates a structural expectation."""
 
 
-def _check_order(order: int, minimum: int) -> None:
-    """Reject anything but an integer truncation order >= minimum (bools too)."""
-    if isinstance(order, bool) or not isinstance(order, Integral):
-        raise ValueError(f"truncation order must be an integer, got {order!r}")
-    if order < minimum:
-        raise ValueError(f"truncation order {order} too small; need at least {minimum}")
-
-
 @dataclass(frozen=True)
 class StencilSpec:
     """One symbolic derivation: basis degree, interface mode, truncation."""
@@ -72,10 +63,10 @@ class StencilSpec:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
-        check_degree(self.degree)
+        object.__setattr__(self, "degree", check_degree(self.degree))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_order(self.order, MIN_ORDER)
+        object.__setattr__(self, "order", checked_int(self.order, "truncation order", MIN_ORDER))
 
 
 def basis_moments(degree: int, order: int = DEFAULT_ORDER) -> list[DerivativeSeries]:
@@ -84,9 +75,7 @@ def basis_moments(degree: int, order: int = DEFAULT_ORDER) -> list[DerivativeSer
     Entry m is the series of a_m about the cell center:
     c_p = (1/p!) * (integral phi_m xi^p) / M_m, paired with h^p.
     """
-    check_degree(degree)
-    _check_order(order, 0)
-    return list(_basis_moments(degree, order))
+    return list(_basis_moments(check_degree(degree), checked_int(order, "truncation order", 0)))
 
 
 @lru_cache(maxsize=None)
@@ -221,8 +210,7 @@ def correction_series(order: int = DEFAULT_ORDER) -> DerivativeSeries:
     how far twice-the-average-curvature sits from u''/2.  Both h^0 terms
     cancel exactly; the leading survivor is u'''' h^2 / 96.
     """
-    _check_order(order, 4)
-    return _correction_series(order)
+    return _correction_series(checked_int(order, "truncation order", 4))
 
 
 @lru_cache(maxsize=None)

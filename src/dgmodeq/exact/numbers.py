@@ -21,12 +21,14 @@ components and rational_value() are Fractions.
 Division is deliberately restricted to rational scalars and to
 single-component values (the only reciprocals the derivations need, e.g.
 1/(q*sqrt(3)) = (1/(3q))*sqrt(3)).  General quartic-field inversion is out
-of scope and raises ValueError.
+of scope and raises ValueError.  checked_int and check_finite are the input
+rules of both routes, for counts and for real settings.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, sqrt
+from math import gcd, inf, lcm, sqrt
+from numbers import Integral, Real
 
 _SQRT3 = sqrt(3.0)
 _SQRT5 = sqrt(5.0)
@@ -44,6 +46,26 @@ _PRODUCT = (
     ((2, 1), (3, 1), (0, 5), (1, 5)),
     ((3, 1), (2, 3), (1, 5), (0, 15)),
 )
+
+
+def checked_int(value: int, name: str, low: float = -inf, high: float = inf) -> int:
+    """value as an int if it is an Integral, not a bool, in [low, high]; else ValueError.
+
+    int() would truncate 2.5 and read True as 1, and a cache keyed on 1.0 or True answers for 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= high:
+        span = f" from {low} to {high}" if high < inf else f" >= {low}" if low > -inf else ""
+        raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+    return int(value)
+
+
+def check_finite(value: float, name: str, zero_ok: bool = False) -> None:
+    """ValueError unless value is a real number, not a bool, in (0, inf), or [0, inf) if zero_ok."""
+    sign = "nonnegative" if zero_ok else "positive"
+    if isinstance(value, bool) or not isinstance(value, Real) or not (
+        0 < value < inf or zero_ok and value == 0
+    ):
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:

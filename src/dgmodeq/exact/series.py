@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 from typing import Iterable, Mapping
 
-from .numbers import ONE, QF, ZERO, RationalLike
+from .numbers import ONE, QF, ZERO, RationalLike, checked_int
 
 #: Offsets, in units of h, that shift() accepts.  These are the only strides
 #: the one-sided interface stencils and the half-cell evaluations use.
@@ -33,13 +32,6 @@ ALLOWED_OFFSETS = (
     Fraction(1, 2),
     Fraction(-1, 2),
 )
-
-
-def _integer(value: int, name: str) -> int:
-    """value as an int; ValueError for bools and non-integers instead of truncating."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _inv_factorial(n: int) -> Fraction:
@@ -66,7 +58,7 @@ class DerivativeSeries:
         if not tup:
             raise ValueError("series needs at least the p=0 coefficient")
         object.__setattr__(self, "_coeffs", tup)
-        object.__setattr__(self, "_h_shift", _integer(h_shift, "h_shift"))
+        object.__setattr__(self, "_h_shift", checked_int(h_shift, "h_shift"))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DerivativeSeries is immutable")
@@ -91,9 +83,7 @@ class DerivativeSeries:
     ) -> DerivativeSeries:
         coeffs = [ZERO] * (order + 1)
         for p, coeff in terms.items():
-            if not 0 <= p <= order:
-                raise ValueError(f"term index {p} outside truncation order {order}")
-            coeffs[p] = QF.coerce(coeff)
+            coeffs[checked_int(p, "term index", 0, order)] = QF.coerce(coeff)
         return cls(coeffs, h_shift)
 
     # -- inspection --------------------------------------------------------
@@ -182,10 +172,7 @@ class DerivativeSeries:
 
     def div_h(self, power: int = 1) -> DerivativeSeries:
         """Divide by h**power: pure h bookkeeping, coefficients untouched."""
-        power = _integer(power, "power")
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return DerivativeSeries(self._coeffs, self._h_shift - power)
+        return DerivativeSeries(self._coeffs, self._h_shift - checked_int(power, "power", 0))
 
     def differentiated(self) -> DerivativeSeries:
         """d/dx of the series; every u^(p) h^q term becomes u^(p+1) h^q."""

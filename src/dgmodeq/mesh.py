@@ -7,6 +7,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .exact.numbers import checked_int
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -24,8 +26,7 @@ class Mesh1D:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, int) or self.n_cells < 1:
-            raise ValueError(f"n_cells must be a positive integer, got {self.n_cells}")
+        object.__setattr__(self, "n_cells", checked_int(self.n_cells, "n_cells", 1))
 
     @property
     def dx(self) -> float:
@@ -54,8 +55,15 @@ class Stencil:
     """
 
     def __init__(self, blocks: Mapping[int, np.ndarray | float]) -> None:
+        if not blocks:
+            raise ValueError("a stencil needs at least one offset block")
+        blocks = {checked_int(o, "stencil offset"): np.atleast_2d(blocks[o]) for o in blocks}
         self.offsets = tuple(sorted(blocks))
-        stack = np.array([np.atleast_2d(blocks[o]) for o in self.offsets], dtype=float)
+        m = blocks[self.offsets[0]].shape[0]
+        for o in self.offsets:
+            if blocks[o].shape != (m, m):
+                raise ValueError(f"stencil block at offset {o} is {blocks[o].shape}, not ({m}, {m})")
+        stack = np.array([blocks[o] for o in self.offsets], dtype=float)
         self.blocks = _readonly(stack)
         # symbol() tables, complex up front so no call pays for the cast
         self._flat = stack.reshape(len(self.offsets), -1).astype(complex)

@@ -28,6 +28,7 @@ from typing import Callable, Protocol, TypeVar
 
 import numpy as np
 
+from .exact.numbers import check_finite
 from .mesh import Mesh1D, Stencil
 
 #: Taylor coefficients of each method's stability polynomial R: one step of
@@ -71,10 +72,8 @@ class Integrator:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not (math.isfinite(self.cfl) and self.cfl > 0.0):
-            raise ValueError(f"cfl must be positive and finite, got {self.cfl}")
-        if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
-            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
+        check_finite(self.cfl, "cfl")
+        check_finite(self.t_final, "t_final", zero_ok=True)
 
     def schedule(self, dx: float) -> tuple[int, float, float]:
         """(n, dt, dt_last): step i starts at t = i*dt, the last one is shortened.

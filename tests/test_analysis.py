@@ -76,7 +76,9 @@ def test_run_config_validation():
         RunConfig("dg-p1", (10, 20), ic="sawtooth")
 
 
-@pytest.mark.parametrize("grids", [(10.7, 20.2), (10.0, 20.0), (True, 2), ("10", "20")])
+@pytest.mark.parametrize(
+    "grids", [(10.7, 20.2), (10.0, 20.0), (True, 2), ("10", "20"), (10, 2.5), (0, 10), (-5, 10)]
+)
 def test_run_config_rejects_non_integer_grids(grids):
     # these used to be truncated or cast silently: (10.7, 20.2) ran as (10, 20)
     with pytest.raises(ValueError, match="integer"):
@@ -87,6 +89,8 @@ def test_run_config_accepts_numpy_integer_grids():
     config = RunConfig("dg-p1", (np.int64(10), np.int32(20)))
     assert config.grids == (10, 20)
     assert all(type(n) is int for n in config.grids)
+    spectrum = run_spectrum((np.int64(1),), n_theta=np.int64(4))
+    assert spectrum.rows == run_spectrum((1,), n_theta=4).rows and type(spectrum.rows[0][0]) is int
 
 
 def test_run_config_defaults():
@@ -100,8 +104,17 @@ def test_run_config_defaults():
         lambda: run_spectrum((1,), n_theta=-5),
         lambda: run_spectrum(()),
         lambda: run_correction(()),
+        # 2.5 used to sample theta = 0, 2.51, 5.03; True one theta
+        lambda: run_spectrum((1,), n_theta=2.5),
+        lambda: run_spectrum((1,), n_theta=True),
+        lambda: run_spectrum((1,), n_theta="3"),
+        lambda: run_spectrum((3,)),
+        lambda: run_correction((20.5, 41)),
     ],
-    ids=["n_theta=0", "n_theta=-5", "no-degrees", "no-grids"],
+    ids=[
+        "n_theta=0", "n_theta=-5", "no-degrees", "no-grids",
+        "n_theta=2.5", "n_theta=True", "n_theta='3'", "degree=3", "grids=(20.5, 41)",
+    ],
 )
 def test_study_rejects_empty_input(study):
     # an empty table would read as a PASS of check_spectrum/check_correction on no data
@@ -109,10 +122,25 @@ def test_study_rejects_empty_input(study):
         study()
 
 
-@pytest.mark.parametrize("bad", [{"cfl": np.nan}, {"cfl": np.inf}, {"periods": np.nan}, {"periods": np.inf}])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"cfl": np.nan}, {"cfl": np.inf}, {"periods": np.nan}, {"periods": np.inf},
+        {"cfl": True}, {"periods": True}, {"periods": False}, {"cfl": "0.1"}, {"periods": -1.0},
+    ],
+)
 def test_run_config_rejects_nonfinite(bad):
     with pytest.raises(ValueError, match="finite"):
         RunConfig("dg-p1", (10, 20), **bad)
+
+
+def test_finite_settings_are_named_as_the_caller_names_them():
+    # RunConfig and Integrator share the rule; a bad horizon reads periods, not t_final
+    with pytest.raises(ValueError, match="^periods must be nonnegative"):
+        RunConfig(periods=True)
+    with pytest.raises(ValueError, match="^cfl must be positive"):
+        RunConfig(cfl=0.0)
+    assert RunConfig(periods=0, cfl=np.float64(0.2)).periods == 0
 
 
 @pytest.mark.parametrize("flag", ["--cfl", "--periods"])

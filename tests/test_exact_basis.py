@@ -198,6 +198,18 @@ def test_trace_vector_rejects_bad_sides(side):
         trace_vector(1, side)
 
 
+def test_integer_arguments_are_checked():
+    for bad in (1.5, True, -1):
+        with pytest.raises(ValueError, match="moment order"):
+            xi_moment(bad)
+    for m in (2, 1.0):
+        with pytest.raises(ValueError, match="moment index"):
+            projection_moment(1, m, 0)
+    np = pytest.importorskip("numpy")
+    assert ModalBasis(np.int64(2)).degree == 2 and type(ModalBasis(np.int64(2)).degree) is int
+    assert type(StencilSpec(np.int64(1), UPWIND_TRACE, np.int64(6)).order) is int
+
+
 def test_trace_vector_accepts_numpy_integer_sides():
     np = pytest.importorskip("numpy")
     assert trace_vector(2, np.int64(1)) == trace_vector(2, 1)

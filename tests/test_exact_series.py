@@ -202,3 +202,9 @@ def test_copy_and_pickle_round_trips():
             for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
                 assert t == s and hash(t) == hash(s)
                 assert t.h_shift == h_shift
+
+
+@pytest.mark.parametrize("index", [1.5, True, -1, 5], ids=repr)
+def test_from_terms_index_must_be_an_integer_within_the_order(index):
+    with pytest.raises(ValueError, match="term index"):
+        DerivativeSeries.from_terms({index: 1}, 4)

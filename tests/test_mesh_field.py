@@ -20,6 +20,19 @@ def test_mesh_validation():
         Mesh1D(-3)
     with pytest.raises(ValueError, match="n_cells"):
         Mesh1D(True)  # an int equal to 1: a 1-cell mesh whose n_cells is True
+    for bad in (2.5, 4.0, "3", False):
+        with pytest.raises(ValueError, match="n_cells"):
+            Mesh1D(bad)
+    mesh = Mesh1D(np.int64(4))  # a cell count read from a numpy grid array
+    assert mesh.n_cells == 4 and type(mesh.n_cells) is int
+
+
+def test_quadrature_node_count_is_an_integer():
+    for bad in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="n_nodes"):
+            gauss_legendre_halfcell(bad)
+    nodes, weights = gauss_legendre_halfcell(np.int32(3))
+    assert np.array_equal(nodes, gauss_legendre_halfcell(3)[0])
 
 
 def test_project_linear_single_cell():

@@ -103,6 +103,30 @@ def test_stencil_blocks_sorted_and_frozen():
     assert not stencil.blocks.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        {0.5: 1.0},  # apply used to read offset 0 while symbol used the phase exp(i theta/2)
+        {True: 1.0},
+        {"1": 1.0},
+        {},
+        {0: np.ones((2, 3))},
+        {0: np.eye(2), -1: 1.0},
+        {0: np.ones((2, 2, 2))},
+    ],
+    ids=["half-offset", "bool-offset", "str-offset", "empty", "not-square", "mixed-sizes", "3d-block"],
+)
+def test_stencil_rejects_bad_blocks(blocks):
+    with pytest.raises(ValueError, match="offset"):
+        Stencil(blocks)
+
+
+def test_stencil_offsets_are_ints():
+    stencil = Stencil({np.int64(0): -1.0, np.int32(-1): 1.0})
+    assert stencil.offsets == (-1, 0) and all(type(o) is int for o in stencil.offsets)
+    assert np.array_equal(stencil.symbol(0.3), fv_stencil("fv1").symbol(0.3))
+
+
 def test_fv_stencil_rejects_unknown_scheme():
     with pytest.raises(ValueError):
         fv_stencil("fv3")
@@ -124,3 +148,10 @@ def test_dg_stencil_is_demoted_exact_update(degree):
     assert stencil.offsets == (-1, 0)
     blocks = dict(zip(stencil.offsets, stencil.blocks))
     assert np.array_equal(blocks[0], -a) and np.array_equal(blocks[-1], b)
+
+
+def test_dg_stencil_cache_does_not_answer_for_a_bool_degree():
+    # True == np.int64(1) in an untyped cache key, so a warm degree-1 entry used to answer
+    update_matrices(np.int64(1))
+    with pytest.raises(ValueError, match="degree"):
+        update_matrices(True)

@@ -237,7 +237,13 @@ def test_schedule_last_step_property():
     assert counted > 10000
 
 
-@pytest.mark.parametrize("bad", [{"cfl": np.nan}, {"cfl": np.inf}, {"t_final": np.nan}, {"t_final": np.inf}])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"cfl": np.nan}, {"cfl": np.inf}, {"t_final": np.nan}, {"t_final": np.inf},
+        {"cfl": True}, {"t_final": True}, {"cfl": -0.1}, {"t_final": "1"},
+    ],
+)
 def test_stepper_rejects_nonfinite(bad):
     with pytest.raises(ValueError, match="finite"):
         Integrator("ssprk3", **bad)
