@@ -27,8 +27,6 @@ from .analysis import (
 )
 from .basis import ModalBasis, gauss_legendre_halfcell
 from .dg import (
-    ExactInterface,
-    Upwind,
     correction_term,
     rhs_matrix,
     rhs_weak,
@@ -74,7 +72,6 @@ __all__ = [
     "AverageField",
     "DerivationError",
     "DerivativeSeries",
-    "ExactInterface",
     "InitialCondition",
     "Integrator",
     "Mesh1D",
@@ -87,7 +84,6 @@ __all__ = [
     "RunConfig",
     "Stencil",
     "StencilSpec",
-    "Upwind",
     "average_error_norms",
     "basis_moments",
     "check_convergence",

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dg import ExactInterface, rhs_matrix, rhs_weak, symbol, correction_term, update_matrices
+from .dg import rhs_matrix, rhs_weak, symbol, correction_term, update_matrices
 from .exact import (
     EXACT_POINT,
     MODES,
@@ -336,9 +336,17 @@ def run_compare(config: RunConfig) -> ResultTable:
 
 
 def check_convergence(table: ResultTable) -> list[str]:
-    """Every grid that did not run 'ok', then EOC-band failures per scheme."""
-    rows = zip(table.column("scheme"), table.column("N"), table.column("status"))
-    failures = [f"{scheme}: N={n} status {status}" for scheme, n, status in rows if status != "ok"]
+    """Every grid that did not run 'ok' or took no step, then EOC-band failures per scheme.
+
+    A grid that took no step reports the error of the projection alone,
+    whose order is not the scheme's.
+    """
+    failures = []
+    for scheme, n, steps, status in zip(*map(table.column, ("scheme", "N", "steps", "status"))):
+        if status != "ok":
+            failures.append(f"{scheme}: N={n} status {status}")
+        elif steps == 0:
+            failures.append(f"{scheme}: N={n} took no time step")
     for scheme, order in table.meta.get("fitted_l2_order", {}).items():
         lo, hi = EOC_BANDS[scheme]
         if order is None:
@@ -396,7 +404,7 @@ def run_residual(config: RunConfig) -> ResultTable:
         if mode == UPWIND_TRACE:
             responses = [rhs_matrix(field).coeffs for field in fields]
         else:
-            responses = [rhs_weak(field, ExactInterface(ic.fn)).coeffs for field in fields]
+            responses = [rhs_weak(field, ic.fn).coeffs for field in fields]
         for m, law in enumerate(moment_evolution_laws(StencilSpec(degree, mode))):
             scale = float(moment_leading_scale(degree, m))
             q_lead = next(q for q, c in enumerate(law.coeffs) if c != 0)
@@ -477,6 +485,9 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
     degrees = tuple(check_degree(d) for d in degrees)
     if not degrees:
         raise ValueError("spectrum needs at least one degree")
+    for i, degree in enumerate(degrees):
+        if degree in degrees[:i]:
+            raise ValueError(f"spectrum degree {degree} is repeated")
     n_theta = checked_int(n_theta, "n_theta", 1)
     name = f"spectrum_p{degrees[0]}" if len(degrees) == 1 else "spectrum"
     table = ResultTable(name, _SPECTRUM_COLUMNS)

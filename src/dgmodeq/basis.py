@@ -7,6 +7,7 @@ once.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -49,76 +50,47 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
+@dataclass(frozen=True)
 class ModalBasis:
     """Modal basis of a given degree on xi in [-1/2, 1/2].
 
     Degree 0 is {1}; degree 1 is {1, xi}; degree 2 is the orthonormal triple
-    {1, 2 sqrt(3) xi, 6 sqrt(5) xi^2 - sqrt(5)/2}.
+    {1, 2 sqrt(3) xi, 6 sqrt(5) xi^2 - sqrt(5)/2}.  A basis is its degree;
+    the read-only tables below are the exact ones demoted to floats.
     """
 
-    def __init__(self, degree: int) -> None:
-        self._degree = degree = _exact.check_degree(degree)
-        polys = _exact.basis_polynomials(degree)
-        n = degree + 1
-        coeff = np.zeros((n, n))
-        for m, poly in enumerate(polys):
-            for k, c in enumerate(poly):
-                coeff[m, k] = float(c)
-        dcoeff = np.zeros((n, max(n - 1, 1)))
-        for m, poly in enumerate(polys):
-            dpoly = _exact.poly_derivative(poly)
-            for k, c in enumerate(dpoly):
-                dcoeff[m, k] = float(c)
-        self._coeff = coeff
-        self._dcoeff = dcoeff
-        self._mass = np.array([float(c) for c in _exact.mass_diagonal(degree)])
-        self._trace_right = np.array([float(c) for c in _exact.trace_vector(degree, +1)])
-        self._trace_left = np.array([float(c) for c in _exact.trace_vector(degree, -1)])
-        for arr in (self._coeff, self._dcoeff, self._mass, self._trace_right, self._trace_left):
+    degree: int
+    #: Diagonal of the reference mass matrix.
+    mass: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Basis values at xi = +1/2.
+    trace_right: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Basis values at xi = -1/2.
+    trace_left: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Monomial coefficients of each basis function, lowest power first.
+    coeff: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        degree = _exact.check_degree(self.degree)
+        tables = {
+            "mass": _exact.mass_diagonal(degree),
+            "trace_right": _exact.trace_vector(degree, +1),
+            "trace_left": _exact.trace_vector(degree, -1),
+            "coeff": [p + (0,) * (degree + 1 - len(p)) for p in _exact.basis_polynomials(degree)],
+        }
+        object.__setattr__(self, "degree", degree)
+        for name, table in tables.items():
+            arr = np.array(table, dtype=float)
             arr.flags.writeable = False
-
-    @property
-    def degree(self) -> int:
-        return self._degree
-
-    @property
-    def n_dofs(self) -> int:
-        return self._degree + 1
-
-    @property
-    def mass(self) -> np.ndarray:
-        """Diagonal of the reference mass matrix."""
-        return self._mass
-
-    @property
-    def trace_right(self) -> np.ndarray:
-        """Basis values at xi = +1/2."""
-        return self._trace_right
-
-    @property
-    def trace_left(self) -> np.ndarray:
-        """Basis values at xi = -1/2."""
-        return self._trace_left
+            object.__setattr__(self, name, arr)
 
     def values(self, xi: np.ndarray | float) -> np.ndarray:
-        """Basis values; output shape = shape(xi) + (n_dofs,)."""
+        """Basis values; output shape = shape(xi) + (degree + 1,)."""
         xi = np.asarray(xi, dtype=float)
-        powers = xi[..., None] ** np.arange(self.n_dofs)
-        return powers @ self._coeff.T
+        return (xi[..., None] ** np.arange(self.degree + 1)) @ self.coeff.T
 
     def derivatives(self, xi: np.ndarray | float) -> np.ndarray:
-        """d phi / d xi values; output shape = shape(xi) + (n_dofs,)."""
+        """d phi / d xi values; output shape = shape(xi) + (degree + 1,)."""
         xi = np.asarray(xi, dtype=float)
-        powers = xi[..., None] ** np.arange(self._dcoeff.shape[1])
-        return powers @ self._dcoeff.T
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModalBasis):
-            return NotImplemented
-        return self._degree == other._degree
-
-    def __hash__(self) -> int:
-        return hash(("ModalBasis", self._degree))
-
-    def __repr__(self) -> str:
-        return f"ModalBasis(degree={self._degree})"
+        # Scaling by 1 and 2 is exact: this is the demoted exact derivative.
+        dcoeff = self.coeff[:, 1:] * np.arange(1, self.degree + 1)
+        return (xi[..., None] ** np.arange(self.degree)) @ dcoeff.T

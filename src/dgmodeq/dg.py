@@ -4,8 +4,8 @@ Two equivalent right-hand-side routes are kept deliberately separate so one
 can check the other:
 
 * rhs_weak assembles the weak form per test function by quadrature,
-  boundary terms from a flux rule (upwind traces or an injected exact
-  interface function fn(x));
+  boundary terms from interface values (the upwind traces, or an exact
+  interface function fn(x) sampled at every interface);
 * rhs_matrix applies the closed-form one-sided update matrices
 
       d a^j/dt = -(A a^j - B a^{j-1}) / dx
@@ -24,7 +24,6 @@ second-moment studies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -36,33 +35,11 @@ from .field import DEFAULT_QUAD_NODES, ModalField
 from .mesh import Stencil
 
 
-@dataclass(frozen=True)
-class Upwind:
-    """Interface value taken from the left (upwind) cell's trace."""
-
-
-@dataclass(frozen=True)
-class ExactInterface:
-    """Interface values sampled from a supplied function fn(x).
-
-    This exists to realize the generic-flux evolution laws at a time
-    instant; it is not a usable time-stepping closure (the sampled function
-    does not follow the discrete solution).
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-
-FluxRule = Upwind | ExactInterface
-
-
 @lru_cache(maxsize=None, typed=True)
 def update_matrices(degree: int) -> Stencil:
     """The degree-0/1/2 update as a stencil per unit dx: {0: -A, -1: +B}."""
     exact_a, exact_b = _exact.update_matrices_exact(degree)
-    a = np.array([[float(entry) for entry in row] for row in exact_a])
-    b = np.array([[float(entry) for entry in row] for row in exact_b])
-    return Stencil({0: -a, -1: b})
+    return Stencil({0: -np.array(exact_a, dtype=float), -1: np.array(exact_b, dtype=float)})
 
 
 def rhs_matrix(field: ModalField) -> ModalField:
@@ -70,7 +47,9 @@ def rhs_matrix(field: ModalField) -> ModalField:
     return update_matrices(field.degree).apply(field)
 
 
-def rhs_weak(field: ModalField, flux: FluxRule) -> ModalField:
+def rhs_weak(
+    field: ModalField, interface: Callable[[np.ndarray], np.ndarray] | None = None
+) -> ModalField:
     """Weak-form semi-discrete derivative, quadrature route.
 
     For each test function phi_m:
@@ -78,27 +57,30 @@ def rhs_weak(field: ModalField, flux: FluxRule) -> ModalField:
         dx M_m d a_m/dt = -[u_R phi_m(1/2) - u_L phi_m(-1/2)]
                           + integral of u_h dphi_m/dxi over the cell
 
-    with u_R, u_L the interface values chosen by the flux rule.
+    with u_R, u_L the interface values.  With interface=None they are the
+    upwind traces, each cell's right-edge value.  A function interface(x)
+    is sampled at all n_cells + 1 interface abscissae instead; that
+    realizes the generic-flux evolution laws at a time instant, but it is
+    not a usable time-stepping closure (the sampled function does not
+    follow the discrete solution).
     """
     mesh = field.mesh
     basis = field.basis
     nodes, weights = gauss_legendre_halfcell(DEFAULT_QUAD_NODES)
     u_at_nodes = field.coeffs @ basis.values(nodes).T  # (N, n_quad)
     volume = (u_at_nodes * weights[None, :]) @ basis.derivatives(nodes)
-    if isinstance(flux, Upwind):
-        # One value per interior interface; wrapping the roll keeps the
-        # row-0 sum telescoping to zero in exact arithmetic.
-        u_right = field.traces_right()
+    if interface is None:
+        # Entry j is the upwind value at interface j+1; wrapping the roll
+        # keeps the row-0 sum telescoping to zero in exact arithmetic.
+        u_right = field.coeffs @ basis.trace_right
         u_left = np.roll(u_right, 1)
-    elif isinstance(flux, ExactInterface):
+    else:
         # All n_cells+1 physical abscissae get sampled, 0 and 1 separately.
-        values = np.asarray(flux.fn(mesh.interfaces), dtype=float)
+        values = np.asarray(interface(mesh.interfaces), dtype=float)
         if values.shape != mesh.interfaces.shape:
             raise ValueError("interface function must return one value per abscissa")
         u_right = values[1:]
         u_left = values[:-1]
-    else:
-        raise TypeError(f"unknown flux rule {flux!r}")
     boundary = (
         u_right[:, None] * basis.trace_right[None, :]
         - u_left[:, None] * basis.trace_left[None, :]

@@ -1,4 +1,4 @@
-"""Piecewise-polynomial modal fields: projection, traces, norms."""
+"""Piecewise-polynomial modal fields: projection, norms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ DEFAULT_QUAD_NODES = 5
 
 @dataclass(frozen=True)
 class ModalField:
-    """Modal coefficients (n_cells, n_dofs) over a periodic mesh.
+    """Modal coefficients (n_cells, degree + 1) over a periodic mesh.
 
     The coefficient array is copied and frozen at construction; fields are
     value objects and every operation returns a new one.
@@ -29,7 +29,7 @@ class ModalField:
 
     def __post_init__(self) -> None:
         arr = np.array(self.coeffs, dtype=float)
-        expected = (self.mesh.n_cells, self.basis.n_dofs)
+        expected = (self.mesh.n_cells, self.basis.degree + 1)
         if arr.shape != expected:
             raise ValueError(f"coefficient shape {arr.shape} != {expected}")
         arr.flags.writeable = False
@@ -46,11 +46,6 @@ class ModalField:
 
     def with_data(self, arr: np.ndarray) -> ModalField:
         return ModalField(self.mesh, self.basis, arr)
-
-    def traces_right(self) -> np.ndarray:
-        """Right-edge values of every cell; entry j is the upwind value at
-        interface j+1."""
-        return self.coeffs @ self.basis.trace_right
 
 
 def quadrature_points(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,7 +77,7 @@ def project(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D, degree: int) ->
     """
     basis = ModalBasis(degree)
     nodes, weights, samples = sample_cells(f, mesh)
-    phi = basis.values(nodes)  # (n_quad, n_dofs)
+    phi = basis.values(nodes)  # (n_quad, degree + 1)
     coeffs = (samples * weights[None, :]) @ phi / basis.mass[None, :]
     return ModalField(mesh, basis, coeffs)
 

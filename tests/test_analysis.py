@@ -110,10 +110,13 @@ def test_run_config_defaults():
         lambda: run_spectrum((1,), n_theta="3"),
         lambda: run_spectrum((3,)),
         lambda: run_correction((20.5, 41)),
+        # a repeated degree used to write its rows twice
+        lambda: run_spectrum((1, 1)),
     ],
     ids=[
         "n_theta=0", "n_theta=-5", "no-degrees", "no-grids",
         "n_theta=2.5", "n_theta=True", "n_theta='3'", "degree=3", "grids=(20.5, 41)",
+        "degrees=(1, 1)",
     ],
 )
 def test_study_rejects_empty_input(study):
@@ -261,6 +264,10 @@ def test_convergence_short_runs_read_ok(periods):
     assert table.column("status") == ["ok"] * 3
     if periods == 0.0:
         assert table.column("steps") == [0] * 3
+        # with no step the fitted order is the projection's, not the scheme's
+        assert check_convergence(table)[:3] == [
+            f"dg-p1: N={n} took no time step" for n in (20, 80, 320)
+        ]
 
 
 def test_residual_small_grids():

@@ -3,11 +3,9 @@ import numpy as np
 import pytest
 
 from dgmodeq import (
-    ExactInterface,
     Mesh1D,
     ModalBasis,
     ModalField,
-    Upwind,
     correction_term,
     project,
     rhs_matrix,
@@ -55,7 +53,7 @@ def test_two_cell_hand_oracle():
     out = rhs_matrix(field)
     assert out.data[1] == pytest.approx([2.0, -12.0], abs=1e-13)
     assert out.data[0] == pytest.approx([-2.0, 12.0], abs=1e-13)
-    weak = rhs_weak(field, Upwind())
+    weak = rhs_weak(field)
     assert weak.data == pytest.approx(out.data, abs=1e-12)
 
 
@@ -78,7 +76,7 @@ def test_paths_agree_on_random_fields(degree):
     for seed in range(10):
         field = random_field(32, degree, seed)
         rm = rhs_matrix(field).data
-        rw = rhs_weak(field, Upwind()).data
+        rw = rhs_weak(field).data
         scale = max(np.max(np.abs(rm)), np.max(np.abs(rw)))
         assert np.max(np.abs(rm - rw)) <= 1e-13 * scale
 
@@ -104,14 +102,14 @@ def test_rhs_linearity(degree):
 def test_constants_are_steady(degree):
     field = project(lambda x: np.full_like(x, 3.7), Mesh1D(16), degree)
     assert np.max(np.abs(rhs_matrix(field).data)) < 1e-11
-    assert np.max(np.abs(rhs_weak(field, Upwind()).data)) < 1e-11
+    assert np.max(np.abs(rhs_weak(field).data)) < 1e-11
 
 
 def test_exact_interface_linear_single_cell():
     # u(x) = x supplied exactly at both ends of one cell: slope derivative
     # vanishes because linear data has no curvature, average sees -u_x = -1
     field = ModalField(Mesh1D(1), ModalBasis(1), np.array([[0.5, 1.0]]))
-    out = rhs_weak(field, ExactInterface(lambda x: x))
+    out = rhs_weak(field, lambda x: x)
     assert out.data[0] == pytest.approx([-1.0, 0.0], abs=1e-13)
 
 
@@ -124,7 +122,7 @@ def test_exact_interface_uses_all_interfaces():
         return np.zeros_like(x)
 
     field = project(lambda x: np.sin(2 * np.pi * x), Mesh1D(4), 1)
-    rhs_weak(field, ExactInterface(probe))
+    rhs_weak(field, probe)
     assert seen and seen[0].shape == (5,)
     assert seen[0][0] == 0.0 and seen[0][-1] == 1.0
 
@@ -132,7 +130,7 @@ def test_exact_interface_uses_all_interfaces():
 def test_exact_interface_shape_validated():
     field = project(lambda x: x, Mesh1D(4), 1)
     with pytest.raises(ValueError):
-        rhs_weak(field, ExactInterface(lambda x: np.zeros(3)))
+        rhs_weak(field, lambda x: np.zeros(3))
 
 
 def test_flux_rule_type_checked():

@@ -1,4 +1,6 @@
 """Block-circulant stencils: every scheme's rhs and symbol from one table."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dgmodeq import (
 )
 from dgmodeq.analysis import _setup_scheme
 from dgmodeq.exact import update_matrices_exact
+from dgmodeq.exact.basis import mass_diagonal, trace_vector
 from dgmodeq.fv import fv_stencil
 from dgmodeq.mesh import Stencil
 
@@ -148,6 +151,28 @@ def test_dg_stencil_is_demoted_exact_update(degree):
     assert stencil.offsets == (-1, 0)
     blocks = dict(zip(stencil.offsets, stencil.blocks))
     assert np.array_equal(blocks[0], -a) and np.array_equal(blocks[-1], b)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_modal_basis_is_a_record_of_demoted_exact_tables(degree):
+    basis = ModalBasis(degree)
+    exact_tables = {
+        "mass": mass_diagonal(degree),
+        "trace_right": trace_vector(degree, +1),
+        "trace_left": trace_vector(degree, -1),
+    }
+    for name, exact in exact_tables.items():
+        table = getattr(basis, name)
+        assert np.array_equal(table, [float(x) for x in exact])
+        assert not table.flags.writeable
+    assert not basis.coeff.flags.writeable
+    # equal, hashed and shown by degree alone
+    assert ModalBasis(np.int64(degree)) == basis
+    assert hash(ModalBasis(np.int64(degree))) == hash(basis)
+    assert repr(basis) == f"ModalBasis(degree={degree})"
+    for name, value in (("degree", (degree + 1) % 3), ("mass", np.ones(degree + 1))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(basis, name, value)
 
 
 def test_dg_stencil_cache_does_not_answer_for_a_bool_degree():
