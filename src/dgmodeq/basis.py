@@ -83,6 +83,10 @@ class ModalBasis:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self) -> tuple:
+        # rebuilt by the constructor, so copies keep their arrays read-only
+        return ModalBasis, (self.degree,)
+
     def values(self, xi: np.ndarray | float) -> np.ndarray:
         """Basis values; output shape = shape(xi) + (degree + 1,)."""
         xi = np.asarray(xi, dtype=float)

@@ -74,9 +74,10 @@ _SETTINGS = {
 
 
 def parse_config_file(path: Path | str, known: Sequence[str]) -> dict[str, str]:
-    """key=value lines with keys from `known`; blank lines and # comments ignored."""
+    """key=value lines, each key from `known` at most once; blank lines and # comments ignored."""
     path = Path(path)
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -86,7 +87,9 @@ def parse_config_file(path: Path | str, known: Sequence[str]) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(known)})")
-        values[key] = value
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already given on line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 

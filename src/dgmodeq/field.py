@@ -35,6 +35,10 @@ class ModalField:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
+    def __reduce__(self) -> tuple:
+        # rebuilt by the constructor, so copies keep their arrays read-only
+        return ModalField, (self.mesh, self.basis, self.coeffs)
+
     @property
     def degree(self) -> int:
         return self.basis.degree

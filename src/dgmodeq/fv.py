@@ -47,6 +47,10 @@ class AverageField:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
+    def __reduce__(self) -> tuple:
+        # rebuilt by the constructor, so copies keep their arrays read-only
+        return AverageField, (self.mesh, self.data)
+
     def with_data(self, arr: np.ndarray) -> AverageField:
         return AverageField(self.mesh, arr)
 

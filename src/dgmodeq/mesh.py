@@ -28,6 +28,10 @@ class Mesh1D:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_cells", checked_int(self.n_cells, "n_cells", 1))
 
+    def __reduce__(self) -> tuple:
+        # rebuilt by the constructor, so copies keep their arrays read-only
+        return Mesh1D, (self.n_cells,)
+
     @property
     def dx(self) -> float:
         return 1.0 / self.n_cells
@@ -68,6 +72,10 @@ class Stencil:
         # symbol() tables, complex up front so no call pays for the cast
         self._flat = stack.reshape(len(self.offsets), -1).astype(complex)
         self._phases = 1j * np.array(self.offsets, dtype=float)
+
+    def __reduce__(self) -> tuple:
+        # rebuilt by the constructor, so copies keep their arrays read-only
+        return Stencil, (dict(zip(self.offsets, self.blocks)),)
 
     @property
     def size(self) -> int:

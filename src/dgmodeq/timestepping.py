@@ -8,17 +8,20 @@ the same kind.
 
 Two routes reach t_final on the same integer step schedule:
 
-* integrate() marches step by step with any rhs; it is the reference;
+* integrate() marches step by step with any rhs, through the method's
+  table of Shu-Osher stages (STAGES); it is the reference;
 * propagate() applies the fully discrete scheme of a linear periodic
   mesh.Stencil in Fourier space, mode by mode, in O(N log N + N log n)
-  instead of O(N n).  It keeps all modes' one-step matrices R in one
-  mode-last (m, m, N//2 + 1) stack and powers them as their increments
-  E = R - I, so its rounding error does not grow with n.  Marching rounds
-  about eps into every step, a floor of about n eps that dominates at tiny
-  cfl; there propagate() is the more accurate route, and on the default
-  ladders the two agree to about 1e-13 relative.  It also returns the
-  per-mode matrices it applied, from which the convergence study judges
-  the run's stability.
+  instead of O(N n).  It does not read the stages: each method is an
+  explicit s-stage method of order s, so its stability polynomial is
+  R(z) = sum_{q <= s} z^q / q!, and the two routes check each other.  It
+  powers all modes' one-step matrices R, kept in one mode-last
+  (m, m, N//2 + 1) stack, as their increments E = R - I, so its rounding
+  error does not grow with n.  Marching rounds about eps into every step,
+  a floor of about n eps that dominates at tiny cfl; there propagate() is
+  the more accurate route; on the default ladders the two agree to about
+  1e-13 relative.  It also returns the per-mode matrices it applied, from
+  which the convergence study judges the run's stability.
 """
 from __future__ import annotations
 
@@ -31,14 +34,14 @@ import numpy as np
 from .exact.numbers import check_finite
 from .mesh import Mesh1D, Stencil
 
-#: Taylor coefficients of each method's stability polynomial R: one step of
-#: y' = L y multiplies y by R(dt L).
-STABILITY = {
-    "euler": (1.0, 1.0),
-    "ssprk2": (1.0, 1.0, 1.0 / 2.0),
-    "ssprk3": (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0),
+#: Shu-Osher rows (a, b, c) of each method: from y_0 = y, stage i is
+#: y_i = a y + b (y_{i-1} + dt L(y_{i-1}, t + c dt)), and the last is the step.
+STAGES = {
+    "euler": ((0.0, 1.0, 0.0),),
+    "ssprk2": ((0.0, 1.0, 0.0), (0.5, 0.5, 1.0)),
+    "ssprk3": ((0.0, 1.0, 0.0), (0.75, 0.25, 1.0), (1.0 / 3.0, 2.0 / 3.0, 0.5)),
 }
-METHODS = tuple(STABILITY)
+METHODS = tuple(STAGES)
 
 #: Longest schedule counted: at 1e13 steps the count's slack is 0.02 step.
 MAX_STEPS = 1e13
@@ -90,21 +93,11 @@ class Integrator:
         return n, dt, self.t_final - max(n - 1, 0) * dt
 
     def step(self, state: S, rhs: Callable[[S, float], S], dt: float, t: float = 0.0) -> S:
-        """One step of the chosen method from time t."""
-        y = state.data
-        k1 = rhs(state, t).data
-        y1 = y + dt * k1
-        if self.method == "euler":
-            return state.with_data(y1)
-        s1 = state.with_data(y1)
-        k2 = rhs(s1, t + dt).data
-        if self.method == "ssprk2":
-            return state.with_data(0.5 * (y + y1 + dt * k2))
-        # ssprk3, Shu-Osher convex form
-        y2 = 0.75 * y + 0.25 * (y1 + dt * k2)
-        s2 = state.with_data(y2)
-        k3 = rhs(s2, t + 0.5 * dt).data
-        return state.with_data(y / 3.0 + (2.0 / 3.0) * (y2 + dt * k3))
+        """One step from time t: one rhs evaluation per row of STAGES[method]."""
+        y, stage = state.data, state
+        for a, b, c in STAGES[self.method]:
+            stage = state.with_data(a * y + b * (stage.data + dt * rhs(stage, t + c * dt).data))
+        return stage
 
     def integrate(self, state: S, rhs: Callable[[S, float], S]) -> tuple[S, int]:
         """March to t_final; returns (final state, number of steps taken).
@@ -129,13 +122,14 @@ class Integrator:
         The rfft of the state along cells splits it into modes
         theta_k = 2 pi k / N, each multiplied by one small matrix:
         R(dt G_k/dx)^(n-1) R(dt_last G_k/dx), with G_k = stencil.symbol(theta_k)
-        and R the method's stability polynomial.  Each product is carried as
-        its increment E = R - I (see _increment): a squaring is 2E + E^2 and
-        a product E_a + E_b + E_a E_b.  A step's increment is O(dt |G_k|), so
-        adding it to I before powering would round away about eps per step;
-        here no rounding of size eps |I| enters, and each mode v is updated
-        as v + E v.  All modes share one mode-last (m, m, N//2 + 1) stack,
-        multiplied elementwise over the modes (see _product) for every m.
+        and R(z) = sum_{q <= s} z^q / q! for the method's s stages.  Each
+        product is carried as its increment E = R - I (see _increment): a
+        squaring is 2E + E^2 and a product E_a + E_b + E_a E_b.  A step's
+        increment is O(dt |G_k|), so adding it to I before powering would
+        round away about eps per step; here no rounding of size eps |I|
+        enters, and each mode v is updated as v + E v.  All modes share one
+        mode-last (m, m, N//2 + 1) stack, multiplied elementwise over the
+        modes (see _product) for every m.
 
         Returns (final state, number of steps, amp), amp = I + E stacking
         the (N//2 + 1, m, m) complex matrices of modes k = 0..N//2; with no
@@ -152,7 +146,7 @@ class Integrator:
         g *= dt
         z = np.moveaxis(g, 0, -1).copy()
         del g
-        coeffs = STABILITY[self.method]
+        coeffs = [1.0 / math.factorial(q) for q in range(len(STAGES[self.method]) + 1)]
         s = dt_last / dt
         with np.errstate(over="ignore", invalid="ignore"):
             e = _increment(z, coeffs)
@@ -202,8 +196,8 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
 def _increment(z: np.ndarray, coeffs) -> np.ndarray:
     """R(z) - I = z (c1 + z (c2 + ...)) of a mode-last stack, by Horner.
 
-    coeffs are R's Taylor coefficients c0 = 1, c1, ...; the constant term
-    never enters, so the result keeps the relative accuracy of z.
+    coeffs are R's Taylor coefficients c0 = 1, c1, ..., here c_q = 1/q!;
+    the constant term never enters, so the result keeps z's relative accuracy.
     """
     e = coeffs[-1] * z
     for c in coeffs[-2:0:-1]:

@@ -556,6 +556,10 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("colour = blue\n")
     with pytest.raises(ValueError):
         parse_config_file(bad, ("scheme", "grids", "cfl"))
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("scheme = dg-p1\ngrids = 10,20\nscheme = dg-p2\n")
+    with pytest.raises(ValueError, match=r"twice.cfg:3: key 'scheme' already given on line 1"):
+        parse_config_file(twice, ("scheme", "grids", "cfl"))
 
 
 def test_cli_flags_override_config(tmp_path, capsys):

@@ -1,8 +1,20 @@
 """Mesh geometry, L2 projection and error norms."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from dgmodeq import Mesh1D, ModalBasis, ModalField, error_norms, gauss_legendre_halfcell, project
+from dgmodeq import (
+    Mesh1D,
+    ModalBasis,
+    ModalField,
+    error_norms,
+    fv_stencil,
+    gauss_legendre_halfcell,
+    project,
+    project_averages,
+)
 
 
 def test_mesh_geometry():
@@ -117,6 +129,39 @@ def test_field_data_read_only():
     field = project(lambda x: x, Mesh1D(2), 1)
     with pytest.raises(ValueError):
         field.data[0, 0] = 1.0
+
+
+def _mesh_with_centers():
+    mesh = Mesh1D(4)
+    mesh.centers  # cached in the instance, where a default copy would find it
+    return mesh
+
+
+# Each float value type with its read-only arrays.
+FROZEN_ARRAYS = {
+    "ModalBasis": (lambda: ModalBasis(2), ("mass", "trace_right", "trace_left", "coeff")),
+    "ModalField": (lambda: project(np.sin, Mesh1D(4), 1), ("coeffs",)),
+    "Mesh1D": (_mesh_with_centers, ("centers",)),
+    "Stencil": (lambda: fv_stencil("fv2-upwind"), ("blocks",)),
+    "AverageField": (lambda: project_averages(np.sin, Mesh1D(4)), ("data",)),
+}
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("kind", FROZEN_ARRAYS)
+def test_copies_keep_arrays_read_only(kind, duplicate):
+    make, names = FROZEN_ARRAYS[kind]
+    original = make()
+    dup = duplicate(original)
+    assert type(dup) is type(original)
+    for name in names:
+        arr = getattr(dup, name)
+        assert np.array_equal(arr, getattr(original, name))
+        assert arr.flags.writeable is False, name
 
 
 def test_with_data_returns_new_field():

@@ -54,6 +54,24 @@ def test_amplification_polynomial(method, poly):
             assert out.data[0] == pytest.approx(poly(lam * dt), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "method,rule",
+    [
+        ("euler", lambda f, t, h: h * f(t)),
+        ("ssprk2", lambda f, t, h: h / 2 * (f(t) + f(t + h))),
+        ("ssprk3", lambda f, t, h: h / 6 * (f(t) + 4 * f(t + h / 2) + f(t + h))),
+    ],
+    ids=["euler", "ssprk2", "ssprk3"],
+)
+def test_stage_times_give_quadrature_rule(method, rule):
+    # y' = f(t) from y = 0: one step is the method's quadrature rule of f,
+    # with nodes at the stage times t + c dt, so a wrong c shows here
+    f, t0, h = lambda t: math.cos(3 * t), 0.3, 0.1
+    integ = Integrator(method, cfl=0.1)
+    out = integ.step(_Scalar(0.0), lambda s, t: s.with_data(np.full_like(s.data, f(t))), h, t0)
+    assert abs(out.data[0] - rule(f, t0, h)) < 1e-15
+
+
 @pytest.mark.parametrize("method,order", [("euler", 1), ("ssprk2", 2), ("ssprk3", 3)])
 def test_temporal_order(method, order):
     lam = -2.0
