@@ -25,7 +25,7 @@ from .analysis import (
     run_spectrum,
     taylor_statements,
 )
-from .basis import ModalBasis, gauss_legendre_halfcell
+from .basis import ModalBasis
 from .dg import (
     correction_term,
     rhs_matrix,
@@ -96,7 +96,6 @@ __all__ = [
     "error_norms",
     "exact_solution",
     "fv_stencil",
-    "gauss_legendre_halfcell",
     "initial_condition",
     "modified_equation",
     "moment_evolution_laws",

@@ -79,12 +79,11 @@ CORRECTION_RATIO_TOL = 0.1
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Initial profile plus whatever analytic structure it offers."""
+    """A named periodic initial profile and whether it is smooth."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     smooth: bool
-    derivative: Callable[[np.ndarray, int], np.ndarray] | None = None
 
 
 def _sine(x: np.ndarray) -> np.ndarray:
@@ -98,7 +97,7 @@ def _sine_derivative(x: np.ndarray, n: int) -> np.ndarray:
 def initial_condition(spec: str) -> InitialCondition:
     """Parse 'sine', 'gauss:SIGMA' or 'step' into an InitialCondition."""
     if spec == "sine":
-        return InitialCondition("sine", _sine, True, _sine_derivative)
+        return InitialCondition("sine", _sine, True)
     if spec.startswith("gauss:"):
         try:
             sigma = float(spec.split(":", 1)[1])
@@ -123,10 +122,8 @@ def initial_condition(spec: str) -> InitialCondition:
 
 
 def exact_solution(ic: InitialCondition, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact advection solution u0(x - t) on the periodic domain."""
-    if ic.name == "sine":
-        return lambda x: np.sin(2.0 * np.pi * (np.asarray(x, dtype=float) - t))
-    return lambda x: ic.fn((np.asarray(x, dtype=float) - t) % 1.0)
+    """Exact advection solution u0(x - t); every profile is 1-periodic in x."""
+    return lambda x: ic.fn(np.asarray(x, dtype=float) - t)
 
 
 # ----------------------------------------------------------------------
@@ -386,25 +383,24 @@ def run_residual(config: RunConfig) -> ResultTable:
     profile, evaluate the semi-discrete moment derivative on each grid, and
     least-squares fit it against the predicted leading derivative shape.
     Fits of consecutive doubled grids are Richardson-combined to cancel the
-    O(dx^2) contamination of the next series terms.  Only the sine profile
-    carries the analytic derivatives this comparison needs.
+    O(dx^2) contamination of the next series terms.  The study needs the
+    profile's analytic derivatives, so it runs on sine only.
     """
     if config.scheme not in DG_DEGREE:
         raise ValueError(f"residual study needs a modal scheme, got {config.scheme!r}")
-    ic = initial_condition(config.ic)
-    if ic.derivative is None:
+    if config.ic != "sine":
         raise ValueError(f"residual study needs analytic derivatives; use sine, not {config.ic!r}")
     grids = _doubling_grids(config.grids)
     degree = DG_DEGREE[config.scheme]
     table = ResultTable(f"residual_{config.scheme}", _RESIDUAL_COLUMNS)
     targets = table.meta.setdefault("targets", {})
     meshes = [Mesh1D(n) for n in grids]
-    fields = [project(ic.fn, mesh, degree) for mesh in meshes]
+    fields = [project(_sine, mesh, degree) for mesh in meshes]
     for mode in MODES:
         if mode == UPWIND_TRACE:
             responses = [rhs_matrix(field).coeffs for field in fields]
         else:
-            responses = [rhs_weak(field, ic.fn).coeffs for field in fields]
+            responses = [rhs_weak(field, _sine).coeffs for field in fields]
         for m, law in enumerate(moment_evolution_laws(StencilSpec(degree, mode))):
             scale = float(moment_leading_scale(degree, m))
             q_lead = next(q for q, c in enumerate(law.coeffs) if c != 0)
@@ -415,7 +411,7 @@ def run_residual(config: RunConfig) -> ResultTable:
                 deriv_order = law.derivative_order(q)
                 estimates: list[tuple[int, float]] = []
                 for mesh, response in zip(meshes, responses):
-                    shape = scale * ic.derivative(mesh.centers, deriv_order)
+                    shape = scale * _sine_derivative(mesh.centers, deriv_order)
                     shape = shape * mesh.dx ** (deriv_order - 1)
                     measured = float(response[:, m] @ shape / (shape @ shape))
                     estimates.append((mesh.n_cells, measured))
@@ -438,11 +434,7 @@ def run_residual(config: RunConfig) -> ResultTable:
                             rel_err=abs(measured - exact_f) / abs(exact_f) if exact_coeff else None,
                             abs_err=abs(measured - exact_f),
                         )
-                targets[(mode, m, q)] = {
-                    "exact": exact_coeff,
-                    "estimates": estimates,
-                    "deriv_order": deriv_order,
-                }
+                targets[(mode, m, q)] = {"exact": exact_coeff, "estimates": estimates}
         # Drop this mode's responses before the next mode builds its own (peak memory).
         del responses
     return table

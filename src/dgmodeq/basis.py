@@ -1,4 +1,4 @@
-"""Floating-point view of the modal reference bases, plus quadrature.
+"""Floating-point view of the modal reference bases, plus the quadrature rule.
 
 All tables (polynomial coefficients, mass diagonal, traces) are demoted
 from the exact quadratic-field definitions in dgmodeq.exact.basis at
@@ -8,46 +8,20 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .exact import basis as _exact
-from .exact.numbers import checked_int
 
-
-@lru_cache(maxsize=None, typed=True)
-def gauss_legendre_halfcell(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the reference cell [-1/2, 1/2].
-
-    The arrays are cached and read-only.
-    """
-    n_nodes = checked_int(n_nodes, "n_nodes", 1)
-    # Newton's method on P_n from the standard initial guesses.
-    x = np.cos(np.pi * (np.arange(n_nodes, 0, -1) - 0.25) / (n_nodes + 0.5))
-    for _ in range(100):
-        p, dp = _legendre(n_nodes, x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps:
-            break
-    dp = _legendre(n_nodes, x)[1]
-    weights = 2.0 / ((1.0 - x * x) * dp * dp)
-    # Exact symmetry about the cell center, as the rule has.
-    x = (x - x[::-1]) / 2.0
-    weights = (weights + weights[::-1]) / 2.0
-    for arr in (x, weights):
-        arr /= 2.0
-        arr.flags.writeable = False
-    return x, weights
-
-
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) from the recurrence j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}."""
-    p, p_prev = np.ones_like(x), np.zeros_like(x)
-    for j in range(1, n + 1):
-        p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
-    return p, n * (x * p - p_prev) / (x * x - 1.0)
+#: The float route's one quadrature rule, read-only: 5-point Gauss-Legendre on
+#: [-1/2, 1/2], exact to degree 9, far past any product of degree <= 2 basis
+#: functions.  Projection, error norms, cell averages and rhs_weak read it.
+#: Keep these digits: the closed-form outer weights round 3 ulp higher.
+QUAD_NODES = np.array([-0.453089922969332, -0.26923465505284155, 0.0,
+                       0.26923465505284155, 0.453089922969332])
+QUAD_WEIGHTS = np.array([0.1184634425280945, 0.23931433524968324, 0.28444444444444444,
+                         0.23931433524968324, 0.1184634425280945])
+QUAD_NODES.flags.writeable = QUAD_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import gauss_legendre_halfcell
+from .basis import QUAD_NODES, QUAD_WEIGHTS
 from .exact import basis as _exact
-from .field import DEFAULT_QUAD_NODES, ModalField
+from .field import ModalField
 from .mesh import Stencil
 
 
@@ -44,7 +44,7 @@ def update_matrices(degree: int) -> Stencil:
 
 def rhs_matrix(field: ModalField) -> ModalField:
     """Closed-form semi-discrete derivative -(A a^j - B a^{j-1})/dx."""
-    return update_matrices(field.degree).apply(field)
+    return update_matrices(field.basis.degree).apply(field)
 
 
 def rhs_weak(
@@ -66,9 +66,8 @@ def rhs_weak(
     """
     mesh = field.mesh
     basis = field.basis
-    nodes, weights = gauss_legendre_halfcell(DEFAULT_QUAD_NODES)
-    u_at_nodes = field.coeffs @ basis.values(nodes).T  # (N, n_quad)
-    volume = (u_at_nodes * weights[None, :]) @ basis.derivatives(nodes)
+    u_at_nodes = field.coeffs @ basis.values(QUAD_NODES).T  # (N, n_quad)
+    volume = (u_at_nodes * QUAD_WEIGHTS[None, :]) @ basis.derivatives(QUAD_NODES)
     if interface is None:
         # Entry j is the upwind value at interface j+1; wrapping the roll
         # keeps the row-0 sum telescoping to zero in exact arithmetic.

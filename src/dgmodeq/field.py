@@ -1,4 +1,4 @@
-"""Piecewise-polynomial modal fields: projection, norms."""
+"""Piecewise-polynomial modal fields: projection and norms by basis.QUAD_NODES/QUAD_WEIGHTS."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,21 +6,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import ModalBasis, gauss_legendre_halfcell
+from .basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
 from .mesh import Mesh1D
 
-#: Single quadrature rule used for projection and error norms alike.
-#: Five Gauss-Legendre nodes integrate degree <= 9 exactly, far past any
-#: product of degree <= 2 basis functions.
-DEFAULT_QUAD_NODES = 5
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalField:
     """Modal coefficients (n_cells, degree + 1) over a periodic mesh.
 
-    The coefficient array is copied and frozen at construction; fields are
-    value objects and every operation returns a new one.
+    The coefficient array is copied and frozen at construction, and every
+    operation returns a new field.  Fields compare and hash by identity;
+    compare values with np.array_equal on .coeffs.
     """
 
     mesh: Mesh1D
@@ -40,10 +36,6 @@ class ModalField:
         return ModalField, (self.mesh, self.basis, self.coeffs)
 
     @property
-    def degree(self) -> int:
-        return self.basis.degree
-
-    @property
     def data(self) -> np.ndarray:
         """State-vector view used by the time integrators."""
         return self.coeffs
@@ -52,37 +44,31 @@ class ModalField:
         return ModalField(self.mesh, self.basis, arr)
 
 
-def quadrature_points(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference nodes, weights, and the (n_cells, n_quad) abscissae of every cell."""
-    nodes, weights = gauss_legendre_halfcell(DEFAULT_QUAD_NODES)
-    return nodes, weights, mesh.centers[:, None] + nodes[None, :] * mesh.dx
+def quadrature_points(mesh: Mesh1D) -> np.ndarray:
+    """The (n_cells, n_quad) abscissae of QUAD_NODES in every cell."""
+    return mesh.centers[:, None] + QUAD_NODES[None, :] * mesh.dx
 
 
-def sample_cells(
-    f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference nodes, weights, and f at every cell's quadrature points.
-
-    Raises ValueError naming the first cell where f is not finite.
-    """
-    nodes, weights, points = quadrature_points(mesh)
+def sample_cells(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D) -> np.ndarray:
+    """f at every cell's quadrature points; ValueError names a cell where it is not finite."""
+    points = quadrature_points(mesh)
     samples = np.broadcast_to(np.asarray(f(points), dtype=float), points.shape)
     if not np.all(np.isfinite(samples)):
         bad = np.argwhere(~np.isfinite(samples))[0]
         raise ValueError(f"initial data is not finite in cell {int(bad[0])}")
-    return nodes, weights, samples
+    return samples
 
 
 def project(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D, degree: int) -> ModalField:
     """L2 projection of f onto the broken polynomial space of given degree.
 
     a_m^j = (integral over cell j of f phi_m) / (integral phi_m^2), with the
-    integrals done per cell by the DEFAULT_QUAD_NODES-point Gauss-Legendre rule.
+    integrals done per cell by the 5-point rule QUAD_NODES, QUAD_WEIGHTS.
     """
     basis = ModalBasis(degree)
-    nodes, weights, samples = sample_cells(f, mesh)
-    phi = basis.values(nodes)  # (n_quad, degree + 1)
-    coeffs = (samples * weights[None, :]) @ phi / basis.mass[None, :]
+    samples = sample_cells(f, mesh)
+    phi = basis.values(QUAD_NODES)  # (n_quad, degree + 1)
+    coeffs = (samples * QUAD_WEIGHTS[None, :]) @ phi / basis.mass[None, :]
     return ModalField(mesh, basis, coeffs)
 
 
@@ -98,14 +84,14 @@ def error_norms(field: ModalField, f_exact: Callable[[np.ndarray], np.ndarray]) 
     Uses the same per-cell Gauss-Legendre rule as project; Linf is the
     maximum over all quadrature nodes.
     """
-    nodes, weights, points = quadrature_points(field.mesh)
-    phi = field.basis.values(nodes)
+    points = quadrature_points(field.mesh)
+    phi = field.basis.values(QUAD_NODES)
     dx = field.mesh.dx
     # A finite but astronomically large field (late stage of an unstable
     # run) may overflow to inf here; report inf rather than warn.
     with np.errstate(over="ignore"):
         diff = field.coeffs @ phi.T - np.asarray(f_exact(points), dtype=float)
-        l1 = float(np.sum(np.abs(diff) @ weights) * dx)
-        l2 = float(np.sqrt(np.sum((diff * diff) @ weights) * dx))
+        l1 = float(np.sum(np.abs(diff) @ QUAD_WEIGHTS) * dx)
+        l2 = float(np.sqrt(np.sum((diff * diff) @ QUAD_WEIGHTS) * dx))
         linf = float(np.max(np.abs(diff)))
     return Norms(l1, l2, linf)

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .basis import QUAD_WEIGHTS
 from .field import Norms, sample_cells
 from .mesh import Mesh1D, Stencil
 
@@ -33,9 +34,12 @@ _FV_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AverageField:
-    """Cell averages (n_cells,) over a periodic mesh; immutable value object."""
+    """Cell averages (n_cells,) over a periodic mesh, frozen at construction.
+
+    Compares and hashes by identity; compare values by np.array_equal on .data.
+    """
 
     mesh: Mesh1D
     data: np.ndarray
@@ -57,8 +61,7 @@ class AverageField:
 
 def project_averages(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D) -> AverageField:
     """Exact-to-quadrature cell averages of f."""
-    _, weights, samples = sample_cells(f, mesh)
-    return AverageField(mesh, samples @ weights)
+    return AverageField(mesh, sample_cells(f, mesh) @ QUAD_WEIGHTS)
 
 
 @lru_cache(maxsize=None)

@@ -37,7 +37,7 @@ from dgmodeq.dg import symbol
 
 def test_initial_condition_parsing():
     sine = initial_condition("sine")
-    assert sine.smooth and sine.derivative is not None
+    assert sine.smooth
     gauss = initial_condition("gauss:0.08")
     assert gauss.smooth
     xs = np.array([0.5, 0.3])
@@ -57,6 +57,17 @@ def test_exact_solution_translates():
     sine = initial_condition("sine")
     x = np.array([0.3])
     assert exact_solution(sine, 0.25)(x)[0] == pytest.approx(np.sin(2 * np.pi * 0.05))
+    # u0(x - t) needs no wrap of its own: every profile is 1-periodic, so it
+    # equals the sine formula and the wrapped u0((x - t) % 1) bit for bit
+    xs = np.concatenate([np.linspace(-0.5, 1.5, 401), [0.0, 1e-17, 1.0]])
+    for spec in ("sine", "gauss:0.1", "step"):
+        ic = initial_condition(spec)
+        for t in (0.0, 0.3, 1.0, 2.5, 1e-17):
+            if spec == "sine":
+                want = np.sin(2.0 * np.pi * (xs - t))
+            else:
+                want = ic.fn((xs - t) % 1.0)
+            assert np.array_equal(exact_solution(ic, t)(xs), want), (spec, t)
 
 
 def test_run_config_validation():

@@ -11,10 +11,11 @@ from dgmodeq import (
     ModalField,
     error_norms,
     fv_stencil,
-    gauss_legendre_halfcell,
     project,
     project_averages,
 )
+from dgmodeq.basis import QUAD_NODES, QUAD_WEIGHTS
+from dgmodeq.exact import basis as exact_basis
 
 
 def test_mesh_geometry():
@@ -37,14 +38,6 @@ def test_mesh_validation():
             Mesh1D(bad)
     mesh = Mesh1D(np.int64(4))  # a cell count read from a numpy grid array
     assert mesh.n_cells == 4 and type(mesh.n_cells) is int
-
-
-def test_quadrature_node_count_is_an_integer():
-    for bad in (0, 2.5, True, "3"):
-        with pytest.raises(ValueError, match="n_nodes"):
-            gauss_legendre_halfcell(bad)
-    nodes, weights = gauss_legendre_halfcell(np.int32(3))
-    assert np.array_equal(nodes, gauss_legendre_halfcell(3)[0])
 
 
 def test_project_linear_single_cell():
@@ -164,6 +157,15 @@ def test_copies_keep_arrays_read_only(kind, duplicate):
         assert arr.flags.writeable is False, name
 
 
+@pytest.mark.parametrize("kind", ["ModalField", "AverageField"])
+def test_fields_compare_by_identity(kind):
+    state = FROZEN_ARRAYS[kind][0]()
+    twin = state.with_data(state.data)
+    assert hash(state) == hash(state) and state == state
+    assert state != twin and np.array_equal(state.data, twin.data)
+    assert len({state, twin}) == 2
+
+
 def test_with_data_returns_new_field():
     field = project(lambda x: x, Mesh1D(2), 1)
     other = field.with_data(field.data * 2.0)
@@ -201,10 +203,16 @@ def test_error_norms_scale():
 
 
 def test_gauss_legendre_matches_numpy():
-    # the half-cell rule is the standard one scaled by 1/2
-    for n in range(1, 13):
-        nodes, weights = gauss_legendre_halfcell(n)
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-        assert np.max(np.abs(nodes - ref_nodes / 2.0)) <= 1e-15
-        assert np.max(np.abs(weights - ref_weights / 2.0)) <= 1e-15
-        assert not nodes.flags.writeable and not weights.flags.writeable
+    # the half-cell rule is the standard 5-point one scaled by 1/2
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(5)
+    assert np.max(np.abs(QUAD_NODES - ref_nodes / 2.0)) <= 1e-15
+    assert np.max(np.abs(QUAD_WEIGHTS - ref_weights / 2.0)) <= 1e-15
+    assert not QUAD_NODES.flags.writeable and not QUAD_WEIGHTS.flags.writeable
+
+
+def test_quadrature_exact_through_degree_nine():
+    # the integral of xi^k over the reference cell, to rounding, for k <= 9
+    for k in range(10):
+        exact = float(exact_basis.xi_moment(k))
+        assert abs(QUAD_WEIGHTS @ QUAD_NODES**k - exact) <= 2e-17, k
+    assert abs(QUAD_WEIGHTS @ QUAD_NODES**10 - float(exact_basis.xi_moment(10))) > 1e-7

@@ -21,7 +21,7 @@ from dgmodeq.mesh import Stencil
 
 
 def _old_rhs_matrix(field):
-    stencil = update_matrices(field.degree)
+    stencil = update_matrices(field.basis.degree)
     blocks = dict(zip(stencil.offsets, stencil.blocks))
     m_a, m_b = -blocks[0], blocks[-1]
     a = field.coeffs
