@@ -79,9 +79,8 @@ CORRECTION_RATIO_TOL = 0.1
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """A named periodic initial profile and whether it is smooth."""
+    """A periodic initial profile and whether it is smooth."""
 
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
     smooth: bool
 
@@ -97,7 +96,7 @@ def _sine_derivative(x: np.ndarray, n: int) -> np.ndarray:
 def initial_condition(spec: str) -> InitialCondition:
     """Parse 'sine', 'gauss:SIGMA' or 'step' into an InitialCondition."""
     if spec == "sine":
-        return InitialCondition("sine", _sine, True)
+        return InitialCondition(_sine, True)
     if spec.startswith("gauss:"):
         try:
             sigma = float(spec.split(":", 1)[1])
@@ -110,14 +109,14 @@ def initial_condition(spec: str) -> InitialCondition:
             d = np.asarray(x, dtype=float) % 1.0 - 0.5
             return np.exp(-0.5 * (d / sigma) ** 2)
 
-        return InitialCondition(spec, gauss, True)
+        return InitialCondition(gauss, True)
     if spec == "step":
 
         def step_fn(x: np.ndarray) -> np.ndarray:
             frac = np.asarray(x, dtype=float) % 1.0
             return np.where((frac >= 0.25) & (frac < 0.75), 1.0, 0.0)
 
-        return InitialCondition("step", step_fn, False)
+        return InitialCondition(step_fn, False)
     raise ValueError(f"unknown initial condition {spec!r} (use sine, gauss:SIGMA, step)")
 
 

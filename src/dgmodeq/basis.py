@@ -1,9 +1,10 @@
 """Floating-point view of the modal reference bases, plus the quadrature rule.
 
-All tables (polynomial coefficients, mass diagonal, traces) are demoted
-from the exact quadratic-field definitions in dgmodeq.exact.basis at
-construction time, so rounding of sqrt(3)/sqrt(5) entries happens exactly
-once.
+The mass diagonal and traces are demoted from the exact quadratic-field
+definitions in dgmodeq.exact.basis at construction time, so rounding of
+sqrt(3)/sqrt(5) entries happens exactly once.  The basis values and
+xi-derivatives are tabulated once, at QUAD_NODES only, because the rule is
+the one place the float route evaluates a basis.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ class ModalBasis:
 
     Degree 0 is {1}; degree 1 is {1, xi}; degree 2 is the orthonormal triple
     {1, 2 sqrt(3) xi, 6 sqrt(5) xi^2 - sqrt(5)/2}.  A basis is its degree;
-    the read-only tables below are the exact ones demoted to floats.
+    the read-only tables below are the exact ones demoted to floats, and its
+    values and xi-derivatives at the QUAD_NODES of the rule.
     """
 
     degree: int
@@ -40,16 +42,23 @@ class ModalBasis:
     trace_right: np.ndarray = field(init=False, repr=False, compare=False)
     #: Basis values at xi = -1/2.
     trace_left: np.ndarray = field(init=False, repr=False, compare=False)
-    #: Monomial coefficients of each basis function, lowest power first.
-    coeff: np.ndarray = field(init=False, repr=False, compare=False)
+    #: phi[q, m] = phi_m(QUAD_NODES[q]), shape (n_quad, degree + 1).
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
+    #: dphi[q, m] = d phi_m / d xi at QUAD_NODES[q], same shape.
+    dphi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         degree = _exact.check_degree(self.degree)
+        polys = _exact.basis_polynomials(degree)
+        coeff = np.array([p + (0,) * (degree + 1 - len(p)) for p in polys], dtype=float)
+        # Scaling by 1 and 2 is exact: dcoeff is the demoted exact derivative.
+        dcoeff = coeff[:, 1:] * np.arange(1, degree + 1)
         tables = {
             "mass": _exact.mass_diagonal(degree),
             "trace_right": _exact.trace_vector(degree, +1),
             "trace_left": _exact.trace_vector(degree, -1),
-            "coeff": [p + (0,) * (degree + 1 - len(p)) for p in _exact.basis_polynomials(degree)],
+            "phi": (QUAD_NODES[:, None] ** np.arange(degree + 1)) @ coeff.T,
+            "dphi": (QUAD_NODES[:, None] ** np.arange(degree)) @ dcoeff.T,
         }
         object.__setattr__(self, "degree", degree)
         for name, table in tables.items():
@@ -60,15 +69,3 @@ class ModalBasis:
     def __reduce__(self) -> tuple:
         # rebuilt by the constructor, so copies keep their arrays read-only
         return ModalBasis, (self.degree,)
-
-    def values(self, xi: np.ndarray | float) -> np.ndarray:
-        """Basis values; output shape = shape(xi) + (degree + 1,)."""
-        xi = np.asarray(xi, dtype=float)
-        return (xi[..., None] ** np.arange(self.degree + 1)) @ self.coeff.T
-
-    def derivatives(self, xi: np.ndarray | float) -> np.ndarray:
-        """d phi / d xi values; output shape = shape(xi) + (degree + 1,)."""
-        xi = np.asarray(xi, dtype=float)
-        # Scaling by 1 and 2 is exact: this is the demoted exact derivative.
-        dcoeff = self.coeff[:, 1:] * np.arange(1, self.degree + 1)
-        return (xi[..., None] ** np.arange(self.degree)) @ dcoeff.T

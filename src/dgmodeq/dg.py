@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import QUAD_NODES, QUAD_WEIGHTS
+from .basis import QUAD_WEIGHTS
 from .exact import basis as _exact
 from .field import ModalField
 from .mesh import Stencil
@@ -66,8 +66,8 @@ def rhs_weak(
     """
     mesh = field.mesh
     basis = field.basis
-    u_at_nodes = field.coeffs @ basis.values(QUAD_NODES).T  # (N, n_quad)
-    volume = (u_at_nodes * QUAD_WEIGHTS[None, :]) @ basis.derivatives(QUAD_NODES)
+    u_at_nodes = field.coeffs @ basis.phi.T  # (N, n_quad)
+    volume = (u_at_nodes * QUAD_WEIGHTS[None, :]) @ basis.dphi
     if interface is None:
         # Entry j is the upwind value at interface j+1; wrapping the roll
         # keeps the row-0 sum telescoping to zero in exact arithmetic.

@@ -11,16 +11,19 @@ touches the coefficients, it only decrements h_shift; this keeps the
 coefficient/derivative pairing exact while the stencil algebra pulls out
 1/h factors.
 
-Series are immutable; binary operations truncate to the shorter operand and
-require matching h_shift (adding series with different h pairings would be
-a silent unit error, so it raises).
+A series is a frozen record of its two fields, coeffs and h_shift, so it
+compares, hashes, copies and pickles by them; the constructor coerces any
+iterable of coefficients to a tuple of QF.  Binary operations truncate to
+the shorter operand and require matching h_shift (adding series with
+different h pairings would be a silent unit error, so it raises).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .numbers import ONE, QF, ZERO, RationalLike, checked_int
 
@@ -44,28 +47,19 @@ def _taylor_weights(off: Fraction, n: int) -> tuple[QF, ...]:
     return tuple(QF(off**q * _inv_factorial(q)) for q in range(n))
 
 
+@dataclass(frozen=True)
 class DerivativeSeries:
     """Immutable truncated series sum_p c_p * u^(p) * h^(p + h_shift)."""
 
-    __slots__ = ("_coeffs", "_h_shift")
+    coeffs: tuple[QF, ...]
+    h_shift: int = 0
 
-    def __init__(
-        self,
-        coeffs: Iterable[QF | RationalLike],
-        h_shift: int = 0,
-    ) -> None:
-        tup = tuple(QF.coerce(c) for c in coeffs)
+    def __post_init__(self) -> None:
+        tup = tuple(QF.coerce(c) for c in self.coeffs)
         if not tup:
             raise ValueError("series needs at least the p=0 coefficient")
-        object.__setattr__(self, "_coeffs", tup)
-        object.__setattr__(self, "_h_shift", checked_int(h_shift, "h_shift"))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DerivativeSeries is immutable")
-
-    def __reduce__(self) -> tuple:
-        # the default slot-state restore would go through __setattr__
-        return DerivativeSeries, (self._coeffs, self._h_shift)
+        object.__setattr__(self, "coeffs", tup)
+        object.__setattr__(self, "h_shift", checked_int(self.h_shift, "h_shift"))
 
     # -- constructors ------------------------------------------------------
 
@@ -91,15 +85,7 @@ class DerivativeSeries:
     @property
     def order(self) -> int:
         """Highest derivative index the truncation still tracks exactly."""
-        return len(self._coeffs) - 1
-
-    @property
-    def h_shift(self) -> int:
-        return self._h_shift
-
-    @property
-    def coeffs(self) -> tuple[QF, ...]:
-        return self._coeffs
+        return len(self.coeffs) - 1
 
     def coefficient(self, p: int) -> QF:
         """Coefficient of u^(p); raises once the truncation is exhausted."""
@@ -110,15 +96,15 @@ class DerivativeSeries:
                 f"coefficient u^({p}) lies beyond truncation order {self.order}; "
                 "rebuild the series with a higher order"
             )
-        return self._coeffs[p]
+        return self.coeffs[p]
 
     def h_power(self, p: int) -> int:
         """Power of h paired with u^(p)."""
-        return p + self._h_shift
+        return p + self.h_shift
 
     def leading(self) -> tuple[int, QF] | None:
         """(p, c_p) of the first nonzero term, or None for the zero series."""
-        for p, coeff in enumerate(self._coeffs):
+        for p, coeff in enumerate(self.coeffs):
             if not coeff.is_zero():
                 return p, coeff
         return None
@@ -126,26 +112,26 @@ class DerivativeSeries:
     # -- algebra -----------------------------------------------------------
 
     def _check_compatible(self, other: DerivativeSeries) -> None:
-        if self._h_shift != other._h_shift:
+        if self.h_shift != other.h_shift:
             raise ValueError(
-                f"h_shift mismatch ({self._h_shift} vs {other._h_shift}); "
+                f"h_shift mismatch ({self.h_shift} vs {other.h_shift}); "
                 "series with different h pairings cannot be combined"
             )
 
     def __add__(self, other: DerivativeSeries) -> DerivativeSeries:
         self._check_compatible(other)
-        return DerivativeSeries(map(QF.__add__, self._coeffs, other._coeffs), self._h_shift)
+        return DerivativeSeries(map(QF.__add__, self.coeffs, other.coeffs), self.h_shift)
 
     def __sub__(self, other: DerivativeSeries) -> DerivativeSeries:
         self._check_compatible(other)
-        return DerivativeSeries(map(QF.__sub__, self._coeffs, other._coeffs), self._h_shift)
+        return DerivativeSeries(map(QF.__sub__, self.coeffs, other.coeffs), self.h_shift)
 
     def __neg__(self) -> DerivativeSeries:
-        return DerivativeSeries([-c for c in self._coeffs], self._h_shift)
+        return DerivativeSeries([-c for c in self.coeffs], self.h_shift)
 
     def scaled(self, factor: QF | RationalLike) -> DerivativeSeries:
         f = QF.coerce(factor)
-        return DerivativeSeries([c * f if c else c for c in self._coeffs], self._h_shift)
+        return DerivativeSeries([c * f if c else c for c in self.coeffs], self.h_shift)
 
     def shift(self, offset: Fraction | int) -> DerivativeSeries:
         """Re-expand the series about x + offset*h (exact Taylor shift).
@@ -158,9 +144,9 @@ class DerivativeSeries:
         off = Fraction(offset)
         if off not in ALLOWED_OFFSETS:
             raise ValueError(f"offset {off} not in {{+-1, +-1/2}}")
-        n = len(self._coeffs)
+        n = len(self.coeffs)
         weights = _taylor_weights(off, n)
-        terms = [(p, c) for p, c in enumerate(self._coeffs) if c]
+        terms = [(p, c) for p, c in enumerate(self.coeffs) if c]
         out = []
         for r in range(n):
             acc = ZERO
@@ -168,38 +154,30 @@ class DerivativeSeries:
                 if p <= r:
                     acc = acc + c * weights[r - p]
             out.append(acc)
-        return DerivativeSeries(out, self._h_shift)
+        return DerivativeSeries(out, self.h_shift)
 
     def div_h(self, power: int = 1) -> DerivativeSeries:
         """Divide by h**power: pure h bookkeeping, coefficients untouched."""
-        return DerivativeSeries(self._coeffs, self._h_shift - checked_int(power, "power", 0))
+        return DerivativeSeries(self.coeffs, self.h_shift - checked_int(power, "power", 0))
 
     def differentiated(self) -> DerivativeSeries:
         """d/dx of the series; every u^(p) h^q term becomes u^(p+1) h^q."""
-        return DerivativeSeries((ZERO,) + self._coeffs, self._h_shift - 1)
+        return DerivativeSeries((ZERO,) + self.coeffs, self.h_shift - 1)
 
     def truncated(self, order: int) -> DerivativeSeries:
         if order > self.order:
             raise IndexError(f"cannot extend truncation {self.order} to {order}")
-        return DerivativeSeries(self._coeffs[: order + 1], self._h_shift)
+        return DerivativeSeries(self.coeffs[: order + 1], self.h_shift)
 
-    # -- comparison and display ---------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DerivativeSeries):
-            return NotImplemented
-        return self._h_shift == other._h_shift and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._coeffs, self._h_shift))
+    # -- display -------------------------------------------------------------
 
     def __repr__(self) -> str:
         terms = []
-        for p, coeff in enumerate(self._coeffs):
+        for p, coeff in enumerate(self.coeffs):
             if coeff.is_zero():
                 continue
             q = self.h_power(p)
             h_txt = "" if q == 0 else ("*h" if q == 1 else f"*h^{q}")
             terms.append(f"({coeff}){h_txt}*u^({p})")
         body = " + ".join(terms) if terms else "0"
-        return f"<series {body} + O(h^{self.order + 1 + self._h_shift})>"
+        return f"<series {body} + O(h^{self.order + 1 + self.h_shift})>"

@@ -44,18 +44,14 @@ class ModalField:
         return ModalField(self.mesh, self.basis, arr)
 
 
-def quadrature_points(mesh: Mesh1D) -> np.ndarray:
-    """The (n_cells, n_quad) abscissae of QUAD_NODES in every cell."""
-    return mesh.centers[:, None] + QUAD_NODES[None, :] * mesh.dx
-
-
 def sample_cells(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D) -> np.ndarray:
-    """f at every cell's quadrature points; ValueError names a cell where it is not finite."""
-    points = quadrature_points(mesh)
+    """f at every cell's QUAD_NODES, (n_cells, n_quad): the one sampler of data
+    and references.  ValueError names a cell where f is not finite."""
+    points = mesh.centers[:, None] + QUAD_NODES[None, :] * mesh.dx
     samples = np.broadcast_to(np.asarray(f(points), dtype=float), points.shape)
     if not np.all(np.isfinite(samples)):
         bad = np.argwhere(~np.isfinite(samples))[0]
-        raise ValueError(f"initial data is not finite in cell {int(bad[0])}")
+        raise ValueError(f"function is not finite in cell {int(bad[0])}")
     return samples
 
 
@@ -63,12 +59,11 @@ def project(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D, degree: int) ->
     """L2 projection of f onto the broken polynomial space of given degree.
 
     a_m^j = (integral over cell j of f phi_m) / (integral phi_m^2), with the
-    integrals done per cell by the 5-point rule QUAD_NODES, QUAD_WEIGHTS.
+    integrals done per cell by the 5-point rule QUAD_NODES, QUAD_WEIGHTS,
+    reading the basis table ModalBasis.phi at those nodes.
     """
     basis = ModalBasis(degree)
-    samples = sample_cells(f, mesh)
-    phi = basis.values(QUAD_NODES)  # (n_quad, degree + 1)
-    coeffs = (samples * QUAD_WEIGHTS[None, :]) @ phi / basis.mass[None, :]
+    coeffs = (sample_cells(f, mesh) * QUAD_WEIGHTS[None, :]) @ basis.phi / basis.mass[None, :]
     return ModalField(mesh, basis, coeffs)
 
 
@@ -81,16 +76,16 @@ class Norms(NamedTuple):
 def error_norms(field: ModalField, f_exact: Callable[[np.ndarray], np.ndarray]) -> Norms:
     """L1/L2/Linf distance between a field and a reference function.
 
-    Uses the same per-cell Gauss-Legendre rule as project; Linf is the
-    maximum over all quadrature nodes.
+    Uses the same per-cell rule as project and samples f_exact through
+    sample_cells, so a reference that is not finite raises ValueError; Linf
+    is the maximum over all quadrature nodes.
     """
-    points = quadrature_points(field.mesh)
-    phi = field.basis.values(QUAD_NODES)
+    reference = sample_cells(f_exact, field.mesh)
     dx = field.mesh.dx
     # A finite but astronomically large field (late stage of an unstable
     # run) may overflow to inf here; report inf rather than warn.
     with np.errstate(over="ignore"):
-        diff = field.coeffs @ phi.T - np.asarray(f_exact(points), dtype=float)
+        diff = field.coeffs @ field.basis.phi.T - reference
         l1 = float(np.sum(np.abs(diff) @ QUAD_WEIGHTS) * dx)
         l2 = float(np.sqrt(np.sum((diff * diff) @ QUAD_WEIGHTS) * dx))
         linf = float(np.max(np.abs(diff)))

@@ -82,14 +82,16 @@ class Integrator:
         """(n, dt, dt_last): step i starts at t = i*dt, the last one is shortened.
 
         n is ceil(q) for q = t_final/dt, less a slack of 1e-9 step plus the
-        rounding of q, so rounding never adds a sliver step.  A q above
-        MAX_STEPS raises ValueError; past 2**52 a double cannot count steps.
+        rounding of q, so rounding never adds a sliver step; but a positive
+        horizon always takes at least one step, however small q is.  A q
+        above MAX_STEPS raises ValueError; past 2**52 a double cannot count
+        steps.
         """
         dt = self.cfl * dx
         q = self.t_final / dt
         if not q <= MAX_STEPS:
             raise ValueError(f"t_final/dt = {q:.3g} steps exceeds the limit of {MAX_STEPS:g}")
-        n = max(0, math.ceil(q - (1e-9 + 8.0 * math.ulp(1.0) * q)))
+        n = max(int(q > 0), math.ceil(q - (1e-9 + 8.0 * math.ulp(1.0) * q)))
         return n, dt, self.t_final - max(n - 1, 0) * dt
 
     def step(self, state: S, rhs: Callable[[S, float], S], dt: float, t: float = 0.0) -> S:

@@ -668,7 +668,8 @@ def test_export_list_resolves(module):
 
 def test_import_does_not_load_cli():
     code = "import sys, dgmodeq; print('dgmodeq.cli' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(dgmodeq.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(dgmodeq.__file__).parents[1]),
+           "PYTHONWARNINGS": "error"}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
@@ -676,7 +677,8 @@ def test_import_does_not_load_cli():
 
 
 def test_python_m_dgmodeq_runs():
-    env = {**os.environ, "PYTHONPATH": str(Path(dgmodeq.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(dgmodeq.__file__).parents[1]),
+           "PYTHONWARNINGS": "error"}
     result = subprocess.run(
         [sys.executable, "-m", "dgmodeq", "taylor", "--assert"],
         capture_output=True, text=True, env=env,

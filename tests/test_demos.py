@@ -1,7 +1,8 @@
 """Every narrated demo still runs against the package it demonstrates.
 
 No other test imports the demos, so an API a demo uses could otherwise be
-deleted unnoticed.  Each runs in a fresh interpreter with src/ on the path.
+deleted unnoticed.  Each runs in a fresh interpreter with src/ on the path
+and warnings turned into errors, as the in-process tests have them.
 """
 import os
 import subprocess
@@ -21,7 +22,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
     result = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=tmp_path
     )

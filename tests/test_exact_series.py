@@ -1,5 +1,6 @@
 """Truncated derivative series: shifts, products, h bookkeeping."""
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -202,6 +203,14 @@ def test_copy_and_pickle_round_trips():
             for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
                 assert t == s and hash(t) == hash(s)
                 assert t.h_shift == h_shift
+
+
+@pytest.mark.parametrize("name", ["coeffs", "h_shift"])
+def test_series_fields_are_frozen(name):
+    s = DerivativeSeries.unit(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(s, name, getattr(s, name))
+    assert s == DerivativeSeries.unit(2)
 
 
 @pytest.mark.parametrize("index", [1.5, True, -1, 5], ids=repr)

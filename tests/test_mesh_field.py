@@ -67,7 +67,9 @@ def test_projection_idempotent(degree):
         # one owning cell and no interface rule is needed
         cells = np.floor(x / mesh.dx).astype(int)
         xi = (x - mesh.centers[cells]) / mesh.dx
-        return np.einsum("...k,...k->...", field.coeffs[cells], field.basis.values(xi))
+        phi = [sum(float(c) * xi**p for p, c in enumerate(poly))
+               for poly in exact_basis.basis_polynomials(degree)]
+        return np.einsum("...k,...k->...", field.coeffs[cells], np.stack(phi, axis=-1))
 
     again = project(evaluate, mesh, degree)
     assert np.max(np.abs(again.data - field.data)) < 1e-13
@@ -132,7 +134,7 @@ def _mesh_with_centers():
 
 # Each float value type with its read-only arrays.
 FROZEN_ARRAYS = {
-    "ModalBasis": (lambda: ModalBasis(2), ("mass", "trace_right", "trace_left", "coeff")),
+    "ModalBasis": (lambda: ModalBasis(2), ("mass", "trace_right", "trace_left", "phi", "dphi")),
     "ModalField": (lambda: project(np.sin, Mesh1D(4), 1), ("coeffs",)),
     "Mesh1D": (_mesh_with_centers, ("centers",)),
     "Stencil": (lambda: fv_stencil("fv2-upwind"), ("blocks",)),
@@ -173,10 +175,16 @@ def test_with_data_returns_new_field():
     assert np.allclose(other.data, field.data * 2.0)
 
 
-def test_project_rejects_nonfinite():
+@pytest.mark.parametrize(
+    "sample",
+    [lambda bad: project(bad, Mesh1D(4), 1),
+     lambda bad: error_norms(project(np.sin, Mesh1D(4), 1), bad)],
+    ids=["project", "error_norms"],
+)
+def test_project_rejects_nonfinite(sample):
     bad = lambda x: np.where(x > 0.5, np.nan, 1.0)
     with pytest.raises(ValueError):
-        project(bad, Mesh1D(4), 1)
+        sample(bad)
 
 
 def test_degree_range():
@@ -216,3 +224,16 @@ def test_quadrature_exact_through_degree_nine():
         exact = float(exact_basis.xi_moment(k))
         assert abs(QUAD_WEIGHTS @ QUAD_NODES**k - exact) <= 2e-17, k
     assert abs(QUAD_WEIGHTS @ QUAD_NODES**10 - float(exact_basis.xi_moment(10))) > 1e-7
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_basis_tables_at_the_nodes_reproduce_the_exact_integrals(degree):
+    # under QUAD_WEIGHTS, phi gives the mass diagonal and dphi with phi the
+    # volume matrix V[m][n] = integral of phi_n dphi_m/dxi
+    basis = ModalBasis(degree)
+    assert basis.phi.shape == basis.dphi.shape == (len(QUAD_NODES), degree + 1)
+    mass = np.array([float(x) for x in exact_basis.mass_diagonal(degree)])
+    volume = np.array([[float(x) for x in row] for row in exact_basis.volume_matrix(degree)])
+    assert np.max(np.abs(QUAD_WEIGHTS @ basis.phi**2 - mass)) <= 1e-15 * np.max(np.abs(mass))
+    quad_volume = (basis.dphi.T * QUAD_WEIGHTS) @ basis.phi
+    assert np.max(np.abs(quad_volume - volume)) <= 1e-15 * np.max(np.abs(volume))

@@ -165,7 +165,7 @@ def test_modal_basis_is_a_record_of_demoted_exact_tables(degree):
         table = getattr(basis, name)
         assert np.array_equal(table, [float(x) for x in exact])
         assert not table.flags.writeable
-    assert not basis.coeff.flags.writeable
+    assert not basis.phi.flags.writeable
     # equal, hashed and shown by degree alone
     assert ModalBasis(np.int64(degree)) == basis
     assert hash(ModalBasis(np.int64(degree))) == hash(basis)
