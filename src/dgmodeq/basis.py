@@ -31,8 +31,8 @@ class ModalBasis:
 
     Degree 0 is {1}; degree 1 is {1, xi}; degree 2 is the orthonormal triple
     {1, 2 sqrt(3) xi, 6 sqrt(5) xi^2 - sqrt(5)/2}.  A basis is its degree;
-    the read-only tables below are the exact ones demoted to floats, and its
-    values and xi-derivatives at the QUAD_NODES of the rule.
+    its read-only tables are the exact mass and traces demoted to floats, and
+    the basis values and xi-derivatives at QUAD_NODES.
     """
 
     degree: int

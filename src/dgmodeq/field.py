@@ -45,8 +45,7 @@ class ModalField:
 
 
 def sample_cells(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D) -> np.ndarray:
-    """f at every cell's QUAD_NODES, (n_cells, n_quad): the one sampler of data
-    and references.  ValueError names a cell where f is not finite."""
+    """f at each cell's QUAD_NODES, shape (n_cells, n_quad); ValueError names a non-finite cell."""
     points = mesh.centers[:, None] + QUAD_NODES[None, :] * mesh.dx
     samples = np.broadcast_to(np.asarray(f(points), dtype=float), points.shape)
     if not np.all(np.isfinite(samples)):

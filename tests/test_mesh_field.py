@@ -175,16 +175,13 @@ def test_with_data_returns_new_field():
     assert np.allclose(other.data, field.data * 2.0)
 
 
-@pytest.mark.parametrize(
-    "sample",
-    [lambda bad: project(bad, Mesh1D(4), 1),
-     lambda bad: error_norms(project(np.sin, Mesh1D(4), 1), bad)],
-    ids=["project", "error_norms"],
-)
-def test_project_rejects_nonfinite(sample):
+def test_project_rejects_nonfinite():
     bad = lambda x: np.where(x > 0.5, np.nan, 1.0)
     with pytest.raises(ValueError):
-        sample(bad)
+        project(bad, Mesh1D(4), 1)
+    # error_norms samples its reference through the same check
+    with pytest.raises(ValueError):
+        error_norms(project(np.sin, Mesh1D(4), 1), bad)
 
 
 def test_degree_range():
