@@ -375,15 +375,34 @@ def _deriv_name(order: int) -> str:
     return "u_" + "x" * order
 
 
+def _grid_estimates(n: int, degree: int, fits: Sequence[tuple]) -> list[float]:
+    """run_residual's fits on one grid: one projection, each (moment, order) shape once."""
+    mesh = Mesh1D(n)
+    field = project(_sine, mesh, degree)
+    by_mode = {UPWIND_TRACE: rhs_matrix(field).coeffs, EXACT_POINT: rhs_weak(field, _sine).coeffs}
+    shapes: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+    estimates = []
+    for mode, m, _, _, order, scale in fits:
+        if (m, order) not in shapes:
+            shape = scale * _sine_derivative(mesh.centers, order)
+            shape = shape * mesh.dx ** (order - 1)
+            shapes[m, order] = shape, shape @ shape
+        shape, norm2 = shapes[m, order]
+        estimates.append(float(by_mode[mode][:, m] @ shape / norm2))
+    return estimates
+
+
 def run_residual(config: RunConfig) -> ResultTable:
     """Measure leading modified-equation coefficients from the live operator.
 
-    For every moment and both interface modes, project the smooth initial
-    profile, evaluate the semi-discrete moment derivative on each grid, and
-    least-squares fit it against the predicted leading derivative shape.
-    Fits of consecutive doubled grids are Richardson-combined to cancel the
-    O(dx^2) contamination of the next series terms.  The study needs the
-    profile's analytic derivatives, so it runs on sine only.
+    For every moment and both interface modes (rhs_matrix on the upwind
+    traces, rhs_weak on exact interface values), least-squares fit the
+    semi-discrete moment derivative of the projected smooth profile against
+    the predicted leading derivative shape.  The grids are swept once, one
+    grid's arrays at a time (_grid_estimates); fits of consecutive doubled
+    grids are then Richardson-combined to cancel the O(dx^2) contamination
+    of the next series terms.  The study needs the profile's analytic
+    derivatives, so it runs on sine only.
     """
     if config.scheme not in DG_DEGREE:
         raise ValueError(f"residual study needs a modal scheme, got {config.scheme!r}")
@@ -391,51 +410,40 @@ def run_residual(config: RunConfig) -> ResultTable:
         raise ValueError(f"residual study needs analytic derivatives; use sine, not {config.ic!r}")
     grids = _doubling_grids(config.grids)
     degree = DG_DEGREE[config.scheme]
-    table = ResultTable(f"residual_{config.scheme}", _RESIDUAL_COLUMNS)
-    targets = table.meta.setdefault("targets", {})
-    meshes = [Mesh1D(n) for n in grids]
-    fields = [project(_sine, mesh, degree) for mesh in meshes]
+    # (mode, moment, h_power, exact coefficient, derivative order, shape scale) per fit
+    fits = []
     for mode in MODES:
-        if mode == UPWIND_TRACE:
-            responses = [rhs_matrix(field).coeffs for field in fields]
-        else:
-            responses = [rhs_weak(field, _sine).coeffs for field in fields]
         for m, law in enumerate(moment_evolution_laws(StencilSpec(degree, mode))):
             scale = float(moment_leading_scale(degree, m))
             q_lead = next(q for q, c in enumerate(law.coeffs) if c != 0)
             # When the law's h^0 term vanished identically, measure the zero too.
             for q in sorted({0, q_lead}):
-                exact_coeff = law.coeffs[q]
-                exact_f = float(exact_coeff)
-                deriv_order = law.derivative_order(q)
-                estimates: list[tuple[int, float]] = []
-                for mesh, response in zip(meshes, responses):
-                    shape = scale * _sine_derivative(mesh.centers, deriv_order)
-                    shape = shape * mesh.dx ** (deriv_order - 1)
-                    measured = float(response[:, m] @ shape / (shape @ shape))
-                    estimates.append((mesh.n_cells, measured))
-                richardson = [
-                    (n_f, (4.0 * v_f - v_c) / 3.0)
-                    for (_, v_c), (n_f, v_f) in zip(estimates, estimates[1:])
-                ]
-                for estimator, rows in (("grid", estimates), ("richardson", richardson)):
-                    for n, measured in rows:
-                        table.add_row(
-                            mode=mode,
-                            moment=m,
-                            estimator=estimator,
-                            N=n,
-                            dx=1.0 / n,
-                            target=_deriv_name(deriv_order),
-                            h_power=q,
-                            exact=str(exact_coeff),
-                            measured=measured,
-                            rel_err=abs(measured - exact_f) / abs(exact_f) if exact_coeff else None,
-                            abs_err=abs(measured - exact_f),
-                        )
-                targets[(mode, m, q)] = {"exact": exact_coeff, "estimates": estimates}
-        # Drop this mode's responses before the next mode builds its own (peak memory).
-        del responses
+                fits.append((mode, m, q, law.coeffs[q], law.derivative_order(q), scale))
+    per_grid = [_grid_estimates(n, degree, fits) for n in grids]
+    table = ResultTable(f"residual_{config.scheme}", _RESIDUAL_COLUMNS)
+    targets = table.meta.setdefault("targets", {})
+    for (mode, m, q, exact_coeff, order, _), values in zip(fits, zip(*per_grid)):
+        found = list(zip(grids, values))
+        exact_f = float(exact_coeff)
+        richardson = [
+            (n_f, (4.0 * v_f - v_c) / 3.0) for (_, v_c), (n_f, v_f) in zip(found, found[1:])
+        ]
+        for estimator, rows in (("grid", found), ("richardson", richardson)):
+            for n, measured in rows:
+                table.add_row(
+                    mode=mode,
+                    moment=m,
+                    estimator=estimator,
+                    N=n,
+                    dx=1.0 / n,
+                    target=_deriv_name(order),
+                    h_power=q,
+                    exact=str(exact_coeff),
+                    measured=measured,
+                    rel_err=abs(measured - exact_f) / abs(exact_f) if exact_coeff else None,
+                    abs_err=abs(measured - exact_f),
+                )
+        targets[(mode, m, q)] = {"exact": exact_coeff, "estimates": found}
     return table
 
 
@@ -491,11 +499,11 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
         eigs = np.take_along_axis(eigs, order, axis=-1)
         theta0[degree] = tuple(complex(z) for z in eigs[0])
         max_re[degree] = float(eigs.real.max())
-        table.rows.extend(
-            (degree, theta, branch, z.real, z.imag)
-            for theta, row in zip(thetas.tolist(), eigs.tolist())
-            for branch, z in enumerate(row)
-        )
+        # Built by column: theta-major, branch-minor, as Python scalars.
+        m = degree + 1
+        re, im = eigs.real.ravel().tolist(), eigs.imag.ravel().tolist()
+        theta_col = np.repeat(thetas, m).tolist()
+        table.rows.extend(zip([degree] * len(re), theta_col, [*range(m)] * n_theta, re, im))
     return table
 
 

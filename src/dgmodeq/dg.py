@@ -80,12 +80,10 @@ def rhs_weak(
             raise ValueError("interface function must return one value per abscissa")
         u_right = values[1:]
         u_left = values[:-1]
-    boundary = (
-        u_right[:, None] * basis.trace_right[None, :]
-        - u_left[:, None] * basis.trace_left[None, :]
-    )
-    deriv = (volume - boundary) / (mesh.dx * basis.mass[None, :])
-    return field.with_data(deriv)
+    # Moment-major (m, N), so each elementwise pass runs along the cells.
+    boundary = np.outer(basis.trace_right, u_right) - np.outer(basis.trace_left, u_left)
+    deriv = (volume.T - boundary) / (mesh.dx * basis.mass)[:, None]
+    return field.with_data(deriv.T)
 
 
 def symbol(theta: np.ndarray | float, degree: int) -> np.ndarray:

@@ -14,9 +14,9 @@ from .mesh import Mesh1D
 class ModalField:
     """Modal coefficients (n_cells, degree + 1) over a periodic mesh.
 
-    The coefficient array is copied and frozen at construction, and every
-    operation returns a new field.  Fields compare and hash by identity;
-    compare values with np.array_equal on .coeffs.
+    The coefficient array is copied in C order and frozen at construction,
+    and every operation returns a new field.  Fields compare and hash by
+    identity; compare values with np.array_equal on .coeffs.
     """
 
     mesh: Mesh1D
@@ -24,7 +24,7 @@ class ModalField:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=float)
+        arr = np.array(self.coeffs, dtype=float, order="C")
         expected = (self.mesh.n_cells, self.basis.degree + 1)
         if arr.shape != expected:
             raise ValueError(f"coefficient shape {arr.shape} != {expected}")

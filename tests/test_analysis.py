@@ -24,6 +24,8 @@ from dgmodeq import (
 from dgmodeq.analysis import (
     FIT_GRIDS,
     ResultTable,
+    _sine,
+    _sine_derivative,
     _fit_order,
     check_convergence,
     check_correction,
@@ -32,7 +34,10 @@ from dgmodeq.analysis import (
     check_taylor,
 )
 from dgmodeq.cli import build_parser, main, parse_config_file
-from dgmodeq.dg import symbol
+from dgmodeq.dg import rhs_matrix, rhs_weak, symbol
+from dgmodeq.exact import UPWIND_TRACE, moment_leading_scale
+from dgmodeq.field import project
+from dgmodeq.mesh import Mesh1D
 
 
 def test_initial_condition_parsing():
@@ -361,6 +366,26 @@ def test_residual_richardson_rows_follow_grid_rows(scheme, grids):
         assert table.meta["targets"][key]["estimates"] == grid
         want = [(n_f, (4.0 * v_f - v_c) / 3.0) for (_, v_c), (n_f, v_f) in zip(grid, grid[1:])]
         assert [(c["N"], c["measured"]) for c in rows["richardson"]] == want
+
+
+@pytest.mark.parametrize("scheme, degree", [("dg-p1", 1), ("dg-p2", 2)])
+def test_residual_grid_rows_match_a_per_row_recomputation(scheme, degree):
+    # The slow reference: every grid row projects, takes its mode's response
+    # and builds its own target shape, with nothing shared between rows.
+    table = run_residual(RunConfig(scheme, (20, 40, 80)))
+    checked = 0
+    for row in table.rows:
+        cell = dict(zip(table.columns, row))
+        if cell["estimator"] != "grid":
+            continue
+        mesh, m, k = Mesh1D(cell["N"]), cell["moment"], len(cell["target"]) - 2
+        field = project(_sine, mesh, degree)
+        r = rhs_matrix(field) if cell["mode"] == UPWIND_TRACE else rhs_weak(field, _sine)
+        scale = float(moment_leading_scale(degree, m))
+        shape = scale * _sine_derivative(mesh.centers, k) * mesh.dx ** (k - 1)
+        assert cell["measured"] == float(r.coeffs[:, m] @ shape / (shape @ shape))
+        checked += 1
+    assert checked == len(table.meta["targets"]) * 3
 
 
 def test_correction_ratio_follows_cmax():

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from dgmodeq.basis import QUAD_WEIGHTS
+
 from dgmodeq import (
     Mesh1D,
     ModalBasis,
@@ -103,6 +105,34 @@ def test_constants_are_steady(degree):
     field = project(lambda x: np.full_like(x, 3.7), Mesh1D(16), degree)
     assert np.max(np.abs(rhs_matrix(field).data)) < 1e-11
     assert np.max(np.abs(rhs_weak(field).data)) < 1e-11
+
+
+def _rhs_weak_cell_major(field, interface):
+    """rhs_weak's weak form assembled cell-major, (N, m), by broadcasting."""
+    mesh, basis = field.mesh, field.basis
+    volume = (field.coeffs @ basis.phi.T * QUAD_WEIGHTS[None, :]) @ basis.dphi
+    if interface is None:
+        u_right = field.coeffs @ basis.trace_right
+        u_left = np.roll(u_right, 1)
+    else:
+        values = interface(mesh.interfaces)
+        u_right, u_left = values[1:], values[:-1]
+    boundary = (
+        u_right[:, None] * basis.trace_right[None, :]
+        - u_left[:, None] * basis.trace_left[None, :]
+    )
+    return (volume - boundary) / (mesh.dx * basis.mass[None, :])
+
+
+@pytest.mark.parametrize("interface", [None, lambda x: np.sin(2 * np.pi * x)], ids=["upwind", "exact"])
+@pytest.mark.parametrize("n", [1, 7, 1280])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_rhs_weak_matches_cell_major_formula_bit_for_bit(degree, n, interface):
+    field = random_field(n, degree, seed=n + degree)
+    out = rhs_weak(field, interface).data
+    want = _rhs_weak_cell_major(field, interface)
+    assert out.flags.c_contiguous
+    assert out.tobytes() == want.tobytes()
 
 
 def test_exact_interface_linear_single_cell():

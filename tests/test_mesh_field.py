@@ -159,6 +159,19 @@ def test_copies_keep_arrays_read_only(kind, duplicate):
         assert arr.flags.writeable is False, name
 
 
+@pytest.mark.parametrize("n", [40, 1280, 20480])
+def test_field_coefficients_are_c_ordered(n):
+    # A Fortran-ordered input is copied to C order, so a column dot product,
+    # the residual fit's own operation, matches the C-built field bit for bit.
+    arr = np.random.default_rng(n).standard_normal((n, 3))
+    c_built = ModalField(Mesh1D(n), ModalBasis(2), arr)
+    f_built = ModalField(Mesh1D(n), ModalBasis(2), np.asfortranarray(arr))
+    assert f_built.coeffs.flags.c_contiguous
+    v = np.sin(np.arange(n))
+    for m in range(3):
+        assert f_built.coeffs[:, m] @ v == c_built.coeffs[:, m] @ v
+
+
 @pytest.mark.parametrize("kind", ["ModalField", "AverageField"])
 def test_fields_compare_by_identity(kind):
     state = FROZEN_ARRAYS[kind][0]()
