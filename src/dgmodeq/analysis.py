@@ -106,8 +106,8 @@ def initial_condition(spec: str) -> InitialCondition:
             raise ValueError(f"gauss width must be in (0, 0.5), got {sigma}")
 
         def gauss(x: np.ndarray) -> np.ndarray:
-            d = np.asarray(x, dtype=float) % 1.0 - 0.5
-            return np.exp(-0.5 * (d / sigma) ** 2)
+            with np.errstate(over="ignore"):  # a tiny width squares to inf: exp(-inf) = 0
+                return np.exp(-0.5 * ((np.asarray(x, dtype=float) % 1.0 - 0.5) / sigma) ** 2)
 
         return InitialCondition(gauss, True)
     if spec == "step":

@@ -13,16 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import basis as _exact
+from .mesh import _readonly, _rebuilt
 
 #: The float route's one quadrature rule, read-only: 5-point Gauss-Legendre on
 #: [-1/2, 1/2], exact to degree 9, far past any product of degree <= 2 basis
 #: functions.  Projection, error norms, cell averages and rhs_weak read it.
 #: Keep these digits: the closed-form outer weights round 3 ulp higher.
-QUAD_NODES = np.array([-0.453089922969332, -0.26923465505284155, 0.0,
-                       0.26923465505284155, 0.453089922969332])
-QUAD_WEIGHTS = np.array([0.1184634425280945, 0.23931433524968324, 0.28444444444444444,
-                         0.23931433524968324, 0.1184634425280945])
-QUAD_NODES.flags.writeable = QUAD_WEIGHTS.flags.writeable = False
+QUAD_NODES = _readonly(np.array([-0.453089922969332, -0.26923465505284155, 0.0,
+                                 0.26923465505284155, 0.453089922969332]))
+QUAD_WEIGHTS = _readonly(np.array([0.1184634425280945, 0.23931433524968324, 0.28444444444444444,
+                                   0.23931433524968324, 0.1184634425280945]))
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class ModalBasis:
         }
         object.__setattr__(self, "degree", degree)
         for name, table in tables.items():
-            arr = np.array(table, dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(np.array(table, dtype=float)))
 
-    def __reduce__(self) -> tuple:
-        # rebuilt by the constructor, so copies keep their arrays read-only
-        return ModalBasis, (self.degree,)
+    __reduce__ = _rebuilt

@@ -7,7 +7,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
-from .mesh import Mesh1D
+from .mesh import Mesh1D, _readonly, _rebuilt
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,12 +28,9 @@ class ModalField:
         expected = (self.mesh.n_cells, self.basis.degree + 1)
         if arr.shape != expected:
             raise ValueError(f"coefficient shape {arr.shape} != {expected}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _readonly(arr))
 
-    def __reduce__(self) -> tuple:
-        # rebuilt by the constructor, so copies keep their arrays read-only
-        return ModalField, (self.mesh, self.basis, self.coeffs)
+    __reduce__ = _rebuilt
 
     @property
     def data(self) -> np.ndarray:
@@ -72,6 +69,20 @@ class Norms(NamedTuple):
     linf: float
 
 
+def _norms(diff: Callable[[], np.ndarray], weights: np.ndarray, dx: float) -> Norms:
+    """Norms of diff() (n_cells, n_points) by the per-cell rule weights; fv shares it.
+
+    A finite but astronomically large state (late stage of an unstable run)
+    may overflow to inf, in diff() or the sums; report inf rather than warn.
+    """
+    with np.errstate(over="ignore"):
+        d = diff()
+        l1 = float(np.sum(np.abs(d) @ weights) * dx)
+        l2 = float(np.sqrt(np.sum((d * d) @ weights) * dx))
+        linf = float(np.max(np.abs(d)))
+    return Norms(l1, l2, linf)
+
+
 def error_norms(field: ModalField, f_exact: Callable[[np.ndarray], np.ndarray]) -> Norms:
     """L1/L2/Linf distance between a field and a reference function.
 
@@ -80,12 +91,4 @@ def error_norms(field: ModalField, f_exact: Callable[[np.ndarray], np.ndarray]) 
     is the maximum over all quadrature nodes.
     """
     reference = sample_cells(f_exact, field.mesh)
-    dx = field.mesh.dx
-    # A finite but astronomically large field (late stage of an unstable
-    # run) may overflow to inf here; report inf rather than warn.
-    with np.errstate(over="ignore"):
-        diff = field.coeffs @ field.basis.phi.T - reference
-        l1 = float(np.sum(np.abs(diff) @ QUAD_WEIGHTS) * dx)
-        l2 = float(np.sqrt(np.sum((diff * diff) @ QUAD_WEIGHTS) * dx))
-        linf = float(np.max(np.abs(diff)))
-    return Norms(l1, l2, linf)
+    return _norms(lambda: field.coeffs @ field.basis.phi.T - reference, QUAD_WEIGHTS, field.mesh.dx)

@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .basis import QUAD_WEIGHTS
-from .field import Norms, sample_cells
-from .mesh import Mesh1D, Stencil
+from .field import Norms, _norms, sample_cells
+from .mesh import Mesh1D, Stencil, _readonly, _rebuilt
 
 # d ubar_j/dt = -(u_{j+1/2} - u_{j-1/2})/dx expanded into weights of
 # ubar_{j+o} per unit dx, keyed by offset o.
@@ -48,12 +48,9 @@ class AverageField:
         arr = np.array(self.data, dtype=float)
         if arr.shape != (self.mesh.n_cells,):
             raise ValueError(f"average shape {arr.shape} != ({self.mesh.n_cells},)")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _readonly(arr))
 
-    def __reduce__(self) -> tuple:
-        # rebuilt by the constructor, so copies keep their arrays read-only
-        return AverageField, (self.mesh, self.data)
+    __reduce__ = _rebuilt
 
     def with_data(self, arr: np.ndarray) -> AverageField:
         return AverageField(self.mesh, arr)
@@ -83,12 +80,7 @@ def rhs_fv2(field: AverageField, slope: str = "central") -> AverageField:
 
 
 def average_error_norms(field: AverageField, f_exact: Callable[[np.ndarray], np.ndarray]) -> Norms:
-    """Discrete norms of (averages - exact cell averages)."""
+    """Discrete norms of (averages - exact cell averages), by field's kernel with
+    a one-point rule of weight 1 (exact, so the plain dx-weighted sums)."""
     exact = project_averages(f_exact, field.mesh)
-    diff = field.data - exact.data
-    dx = field.mesh.dx
-    return Norms(
-        float(np.sum(np.abs(diff)) * dx),
-        float(np.sqrt(np.sum(diff * diff) * dx)),
-        float(np.max(np.abs(diff))),
-    )
+    return _norms(lambda: (field.data - exact.data)[:, None], np.ones(1), field.mesh.dx)

@@ -1,7 +1,8 @@
-"""Uniform periodic mesh on [0, 1] and block-circulant operators over it."""
+"""Uniform periodic mesh on [0, 1], block-circulant operators over it, and the
+frozen-copy rule every float value type shares (_readonly, _rebuilt)."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping
 
@@ -13,6 +14,11 @@ from .exact.numbers import checked_int
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _rebuilt(self) -> tuple:
+    """__reduce__ of a frozen dataclass: copies go through the constructor, so stay read-only."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True)
@@ -28,9 +34,7 @@ class Mesh1D:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_cells", checked_int(self.n_cells, "n_cells", 1))
 
-    def __reduce__(self) -> tuple:
-        # rebuilt by the constructor, so copies keep their arrays read-only
-        return Mesh1D, (self.n_cells,)
+    __reduce__ = _rebuilt
 
     @property
     def dx(self) -> float:
@@ -54,8 +58,8 @@ class Stencil:
 
         d a_j/dt = sum_o S_o a_{j+o} / dx
 
-    for m unknowns per cell.  Every scheme in the package is one of these;
-    apply() is its right-hand side and symbol() its per-wavenumber generator.
+    for m unknowns per cell.  Every scheme in the package is one of these; its
+    right-hand side apply() and its symbol() both read the one stack blocks.
     """
 
     def __init__(self, blocks: Mapping[int, np.ndarray | float]) -> None:
@@ -67,14 +71,9 @@ class Stencil:
         for o in self.offsets:
             if blocks[o].shape != (m, m):
                 raise ValueError(f"stencil block at offset {o} is {blocks[o].shape}, not ({m}, {m})")
-        stack = np.array([blocks[o] for o in self.offsets], dtype=float)
-        self.blocks = _readonly(stack)
-        # symbol() tables, complex up front so no call pays for the cast
-        self._flat = stack.reshape(len(self.offsets), -1).astype(complex)
-        self._phases = 1j * np.array(self.offsets, dtype=float)
+        self.blocks = _readonly(np.array([blocks[o] for o in self.offsets], dtype=float))
 
     def __reduce__(self) -> tuple:
-        # rebuilt by the constructor, so copies keep their arrays read-only
         return Stencil, (dict(zip(self.offsets, self.blocks)),)
 
     @property
@@ -97,5 +96,6 @@ class Stencil:
         The Fourier mode a_j = v exp(i j theta) evolves as dv/dt = G(theta) v / dx.
         """
         theta = np.asarray(theta)
-        g = np.exp(theta[..., None] * self._phases) @ self._flat
+        phases = np.exp(theta[..., None] * (1j * np.array(self.offsets, dtype=float)))
+        g = phases @ self.blocks.reshape(len(self.offsets), -1)
         return g.reshape(theta.shape + self.blocks.shape[1:])

@@ -47,6 +47,7 @@ def test_initial_condition_parsing():
     assert gauss.smooth
     xs = np.array([0.5, 0.3])
     assert gauss.fn(xs)[0] == pytest.approx(1.0)
+    assert list(initial_condition("gauss:1e-300").fn(xs)) == [1.0, 0.0]
     step = initial_condition("step")
     assert not step.smooth
     assert list(step.fn(np.array([0.3, 0.8]))) == [1.0, 0.0]
@@ -233,6 +234,7 @@ UNSTABLE_RUNS = [
     "--scheme dg-p2 --integrator euler",
     "--integrator euler",
     "--scheme fv2-central --integrator euler",
+    "--scheme fv2-central --cfl 1.5 --periods 20 --grids 20,40",
 ]
 
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dgmodeq import (
+    AverageField,
     Mesh1D,
     ModalBasis,
     ModalField,
+    average_error_norms,
     error_norms,
     fv_stencil,
     project,
@@ -16,6 +18,7 @@ from dgmodeq import (
 )
 from dgmodeq.basis import QUAD_NODES, QUAD_WEIGHTS
 from dgmodeq.exact import basis as exact_basis
+from dgmodeq.field import sample_cells
 
 
 def test_mesh_geometry():
@@ -218,6 +221,38 @@ def test_error_norms_scale():
     norms = error_norms(field, lambda x: np.ones_like(x))
     for value in norms:
         assert value == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+@pytest.mark.parametrize("n", [1, 7, 1280])
+def test_norms_match_their_formulas_bit_for_bit(n, scale):
+    # error_norms and average_error_norms share one kernel; each must still
+    # give exactly the numbers of its own formula, written out here.  At
+    # scale 1e200 the squares overflow: l2 reads inf, and nothing warns.
+    rng = np.random.default_rng(n)
+    mesh = Mesh1D(n)
+    ref = lambda x: np.sin(2 * np.pi * x) + 0.5 * np.cos(6 * np.pi * x)
+    dx = mesh.dx
+    for degree in (0, 1, 2):
+        field = ModalField(mesh, ModalBasis(degree), scale * rng.standard_normal((n, degree + 1)))
+        with np.errstate(over="ignore"):
+            d = field.coeffs @ field.basis.phi.T - sample_cells(ref, mesh)
+            expected = (
+                float(np.sum(np.abs(d) @ QUAD_WEIGHTS) * dx),
+                float(np.sqrt(np.sum((d * d) @ QUAD_WEIGHTS) * dx)),
+                float(np.max(np.abs(d))),
+            )
+        assert tuple(error_norms(field, ref)) == expected, degree
+    averages = AverageField(mesh, scale * rng.standard_normal(n))
+    with np.errstate(over="ignore"):
+        d = averages.data - project_averages(ref, mesh).data
+        expected = (
+            float(np.sum(np.abs(d)) * dx),
+            float(np.sqrt(np.sum(d * d) * dx)),
+            float(np.max(np.abs(d))),
+        )
+    assert tuple(average_error_norms(averages, ref)) == expected
+    assert (expected[1] == np.inf) == (scale > 1.0)
 
 
 def test_gauss_legendre_matches_numpy():
