@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
 from .dg import rhs_matrix, rhs_weak, symbol, correction_term, update_matrices
 from .exact import (
     EXACT_POINT,
@@ -38,7 +39,7 @@ from .exact import (
 )
 from .exact.basis import check_degree
 from .exact.numbers import check_finite, checked_int
-from .field import Norms, error_norms, project
+from .field import ModalField, Norms, error_norms, project
 from .fv import average_error_norms, fv_stencil, project_averages
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap them where it wraps the others.
@@ -375,20 +376,48 @@ def _deriv_name(order: int) -> str:
     return "u_" + "x" * order
 
 
-def _grid_estimates(n: int, degree: int, fits: Sequence[tuple]) -> list[float]:
-    """run_residual's fits on one grid: one projection, each (moment, order) shape once."""
+def _sine_projection(mesh: Mesh1D, basis: ModalBasis) -> tuple[ModalField, tuple]:
+    """project(_sine, mesh, basis.degree) by separation, and its columns sin, cos(2 pi x_j).
+
+    sin(2 pi (x_j + xi h)) splits into sin(2 pi x_j) cos(2 pi xi h) +
+    cos(2 pi x_j) sin(2 pi xi h), so over the 5-point rule (nodes xi_q,
+    weights w_q, ModalBasis.phi and .mass) a_m^j = sin(2 pi x_j) C_m +
+    cos(2 pi x_j) S_m with
+
+        C_m = sum_q w_q phi_m(xi_q)/M_m - 2 sum_q w_q sin^2(pi xi_q h) phi_m(xi_q)/M_m,
+        S_m = sum_q w_q sin(2 pi xi_q h) phi_m(xi_q)/M_m.
+
+    Writing cos - 1 as -2 sin^2 lets no O(1) cancellation in, so each
+    moment's rounding is relative to its own size, not to sampled O(1) values.
+    """
+    phase = 2.0 * np.pi * mesh.centers
+    columns = np.sin(phase), np.cos(phase)
+    rule = QUAD_WEIGHTS[:, None] * basis.phi / basis.mass  # w_q phi_m(xi_q) / M_m
+    xi_h = QUAD_NODES * mesh.dx
+    c_m = rule.sum(axis=0) - 2.0 * (np.sin(np.pi * xi_h) ** 2 @ rule)
+    s_m = np.sin(2.0 * np.pi * xi_h) @ rule
+    return ModalField(mesh, basis, columns[0][:, None] * c_m + columns[1][:, None] * s_m), columns
+
+
+def _grid_estimates(n: int, basis: ModalBasis, fits: Sequence[tuple]) -> list[float]:
+    """run_residual's fits on one grid, from the closed-form sine projection.
+
+    The moments are a_m^j = sin(2 pi x_j) C_m + cos(2 pi x_j) S_m
+    (_sine_projection).  The sine's k-th derivative at the centres is
+    (2 pi)^k times sin, cos, -sin or -cos (k mod 4), so each target shape is
+    a signed scalar f times one of those two columns c, and its fit is
+    response @ c / (f c @ c).
+    """
     mesh = Mesh1D(n)
-    field = project(_sine, mesh, degree)
+    field, columns = _sine_projection(mesh, basis)
     by_mode = {UPWIND_TRACE: rhs_matrix(field).coeffs, EXACT_POINT: rhs_weak(field, _sine).coeffs}
-    shapes: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+    del field
+    norms2 = [column @ column for column in columns]
     estimates = []
     for mode, m, _, _, order, scale in fits:
-        if (m, order) not in shapes:
-            shape = scale * _sine_derivative(mesh.centers, order)
-            shape = shape * mesh.dx ** (order - 1)
-            shapes[m, order] = shape, shape @ shape
-        shape, norm2 = shapes[m, order]
-        estimates.append(float(by_mode[mode][:, m] @ shape / norm2))
+        factor = (-1.0) ** (order // 2) * (2.0 * np.pi) ** order * scale * mesh.dx ** (order - 1)
+        column = columns[order % 2]
+        estimates.append(float(by_mode[mode][:, m] @ column / (factor * norms2[order % 2])))
     return estimates
 
 
@@ -397,12 +426,14 @@ def run_residual(config: RunConfig) -> ResultTable:
 
     For every moment and both interface modes (rhs_matrix on the upwind
     traces, rhs_weak on exact interface values), least-squares fit the
-    semi-discrete moment derivative of the projected smooth profile against
-    the predicted leading derivative shape.  The grids are swept once, one
-    grid's arrays at a time (_grid_estimates); fits of consecutive doubled
-    grids are then Richardson-combined to cancel the O(dx^2) contamination
-    of the next series terms.  The study needs the profile's analytic
-    derivatives, so it runs on sine only.
+    semi-discrete moment derivative of the projected sine against the
+    predicted leading derivative shape.  The sine is projected exactly, by
+    separation: a_m^j = sin(2 pi x_j) C_m + cos(2 pi x_j) S_m with per-grid
+    constants C_m, S_m of the 5-point rule (_sine_projection).  The grids
+    are swept once, one grid's arrays at a time (_grid_estimates); fits of
+    consecutive doubled grids are then Richardson-combined to cancel the
+    O(dx^2) contamination of the next series terms.  The study needs the
+    profile's analytic derivatives, so it runs on sine only.
     """
     if config.scheme not in DG_DEGREE:
         raise ValueError(f"residual study needs a modal scheme, got {config.scheme!r}")
@@ -419,7 +450,8 @@ def run_residual(config: RunConfig) -> ResultTable:
             # When the law's h^0 term vanished identically, measure the zero too.
             for q in sorted({0, q_lead}):
                 fits.append((mode, m, q, law.coeffs[q], law.derivative_order(q), scale))
-    per_grid = [_grid_estimates(n, degree, fits) for n in grids]
+    basis = ModalBasis(degree)
+    per_grid = [_grid_estimates(n, basis, fits) for n in grids]
     table = ResultTable(f"residual_{config.scheme}", _RESIDUAL_COLUMNS)
     targets = table.meta.setdefault("targets", {})
     for (mode, m, q, exact_coeff, order, _), values in zip(fits, zip(*per_grid)):

@@ -25,7 +25,7 @@ from dgmodeq.analysis import (
     FIT_GRIDS,
     ResultTable,
     _sine,
-    _sine_derivative,
+    _sine_projection,
     _fit_order,
     check_convergence,
     check_correction,
@@ -33,10 +33,11 @@ from dgmodeq.analysis import (
     check_spectrum,
     check_taylor,
 )
+from dgmodeq.basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
 from dgmodeq.cli import build_parser, main, parse_config_file
 from dgmodeq.dg import rhs_matrix, rhs_weak, symbol
 from dgmodeq.exact import UPWIND_TRACE, moment_leading_scale
-from dgmodeq.field import project
+from dgmodeq.field import ModalField, project
 from dgmodeq.mesh import Mesh1D
 
 
@@ -372,8 +373,9 @@ def test_residual_richardson_rows_follow_grid_rows(scheme, grids):
 
 @pytest.mark.parametrize("scheme, degree", [("dg-p1", 1), ("dg-p2", 2)])
 def test_residual_grid_rows_match_a_per_row_recomputation(scheme, degree):
-    # The slow reference: every grid row projects, takes its mode's response
-    # and builds its own target shape, with nothing shared between rows.
+    # The slow reference: every grid row projects the sine by separation,
+    # takes its mode's response and builds its own target shape, with
+    # nothing shared between rows.
     table = run_residual(RunConfig(scheme, (20, 40, 80)))
     checked = 0
     for row in table.rows:
@@ -381,13 +383,46 @@ def test_residual_grid_rows_match_a_per_row_recomputation(scheme, degree):
         if cell["estimator"] != "grid":
             continue
         mesh, m, k = Mesh1D(cell["N"]), cell["moment"], len(cell["target"]) - 2
-        field = project(_sine, mesh, degree)
+        basis, h = ModalBasis(degree), mesh.dx
+        # a_m^j = sin(2 pi x_j) C_m + cos(2 pi x_j) S_m, with cos - 1 = -2 sin^2
+        weighted = QUAD_WEIGHTS[:, None] * basis.phi / basis.mass
+        c_m = weighted.sum(axis=0) - 2.0 * (np.sin(np.pi * (QUAD_NODES * h)) ** 2 @ weighted)
+        s_m = np.sin(2.0 * np.pi * (QUAD_NODES * h)) @ weighted
+        sin_x = np.sin(2.0 * np.pi * mesh.centers)
+        cos_x = np.cos(2.0 * np.pi * mesh.centers)
+        field = ModalField(mesh, basis, sin_x[:, None] * c_m + cos_x[:, None] * s_m)
         r = rhs_matrix(field) if cell["mode"] == UPWIND_TRACE else rhs_weak(field, _sine)
-        scale = float(moment_leading_scale(degree, m))
-        shape = scale * _sine_derivative(mesh.centers, k) * mesh.dx ** (k - 1)
-        assert cell["measured"] == float(r.coeffs[:, m] @ shape / (shape @ shape))
+        # d^k/dx^k sin(2 pi x) = (2 pi)^k times sin, cos, -sin, -cos for k mod 4
+        column = [sin_x, cos_x, sin_x, cos_x][k % 4]
+        sign = [1.0, 1.0, -1.0, -1.0][k % 4]
+        factor = sign * (2.0 * np.pi) ** k * float(moment_leading_scale(degree, m)) * h ** (k - 1)
+        assert cell["measured"] == float(r.coeffs[:, m] @ column / (factor * (column @ column)))
         checked += 1
     assert checked == len(table.meta["targets"]) * 3
+
+
+@pytest.mark.parametrize("n", [1, 7, 1280, 20480])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_sine_projection_by_separation_matches_project(degree, n):
+    mesh = Mesh1D(n)
+    field, (sin_x, cos_x) = _sine_projection(mesh, ModalBasis(degree))
+    np.testing.assert_allclose(field.coeffs, project(_sine, mesh, degree).coeffs, rtol=0, atol=4e-15)
+    assert np.array_equal(sin_x, np.sin(2.0 * np.pi * mesh.centers))
+    assert np.array_equal(cos_x, np.cos(2.0 * np.pi * mesh.centers))
+
+
+@pytest.mark.parametrize("scheme", ["dg-p1", "dg-p2"])
+def test_residual_fine_ladder_reads_the_law_not_rounding(scheme):
+    # An absolute rounding of eps in a moment of size h^m reads up to 7e-4
+    # relative here, so the projection must round relative to each moment.
+    table = run_residual(RunConfig(scheme, (1280, 2560, 5120, 10240, 20480)))
+    checked = 0
+    for row in table.rows:
+        cell = dict(zip(table.columns, row))
+        if cell["N"] == 20480 and cell["exact"] != "0":
+            assert cell["rel_err"] < 1e-5, cell
+            checked += 1
+    assert checked == 2 * sum(info["exact"] != 0 for info in table.meta["targets"].values())
 
 
 def test_correction_ratio_follows_cmax():
