@@ -391,12 +391,28 @@ def _sine_projection(mesh: Mesh1D, basis: ModalBasis) -> tuple[ModalField, tuple
     moment's rounding is relative to its own size, not to sampled O(1) values.
     """
     phase = 2.0 * np.pi * mesh.centers
-    columns = np.sin(phase), np.cos(phase)
+    sin_col, cos_col = np.sin(phase), np.cos(phase)
     rule = QUAD_WEIGHTS[:, None] * basis.phi / basis.mass  # w_q phi_m(xi_q) / M_m
     xi_h = QUAD_NODES * mesh.dx
     c_m = rule.sum(axis=0) - 2.0 * (np.sin(np.pi * xi_h) ** 2 @ rule)
     s_m = np.sin(2.0 * np.pi * xi_h) @ rule
-    return ModalField(mesh, basis, columns[0][:, None] * c_m + columns[1][:, None] * s_m), columns
+    coeffs = np.multiply.outer(sin_col, c_m)
+    for column, s in zip(coeffs.T, s_m):
+        column += cos_col * s
+    return ModalField(mesh, basis, coeffs), (sin_col, cos_col)
+
+
+def _residual_fits(degree: int) -> list[tuple]:
+    """(mode, moment, h_power, exact coefficient, derivative order, shape scale) per fit."""
+    fits = []
+    for mode in MODES:
+        for m, law in enumerate(moment_evolution_laws(StencilSpec(degree, mode))):
+            scale = float(moment_leading_scale(degree, m))
+            q_lead = next(q for q, c in enumerate(law.coeffs) if c != 0)
+            # When the law's h^0 term vanished identically, measure the zero too.
+            for q in sorted({0, q_lead}):
+                fits.append((mode, m, q, law.coeffs[q], law.derivative_order(q), scale))
+    return fits
 
 
 def _grid_estimates(n: int, basis: ModalBasis, fits: Sequence[tuple]) -> list[float]:
@@ -440,16 +456,13 @@ def run_residual(config: RunConfig) -> ResultTable:
     if config.ic != "sine":
         raise ValueError(f"residual study needs analytic derivatives; use sine, not {config.ic!r}")
     grids = _doubling_grids(config.grids)
+    if grids[0] < 3:
+        raise ValueError(
+            f"residual study needs at least 3 cells on its coarsest grid, got {grids[0]}: "
+            "on 1 or 2 cells sin(2 pi x_j) or cos(2 pi x_j) is zero at every centre"
+        )
     degree = DG_DEGREE[config.scheme]
-    # (mode, moment, h_power, exact coefficient, derivative order, shape scale) per fit
-    fits = []
-    for mode in MODES:
-        for m, law in enumerate(moment_evolution_laws(StencilSpec(degree, mode))):
-            scale = float(moment_leading_scale(degree, m))
-            q_lead = next(q for q, c in enumerate(law.coeffs) if c != 0)
-            # When the law's h^0 term vanished identically, measure the zero too.
-            for q in sorted({0, q_lead}):
-                fits.append((mode, m, q, law.coeffs[q], law.derivative_order(q), scale))
+    fits = _residual_fits(degree)
     basis = ModalBasis(degree)
     per_grid = [_grid_estimates(n, basis, fits) for n in grids]
     table = ResultTable(f"residual_{config.scheme}", _RESIDUAL_COLUMNS)
@@ -534,7 +547,8 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
         # Built by column: theta-major, branch-minor, as Python scalars.
         m = degree + 1
         re, im = eigs.real.ravel().tolist(), eigs.imag.ravel().tolist()
-        theta_col = np.repeat(thetas, m).tolist()
+        # One float object per theta, shared by its m branches.
+        theta_col = [t for t in thetas.tolist() for _ in range(m)]
         table.rows.extend(zip([degree] * len(re), theta_col, [*range(m)] * n_theta, re, im))
     return table
 
@@ -573,6 +587,8 @@ def run_correction(grids: Sequence[int] = DEFAULT_GRIDS) -> ResultTable:
     the grids must double like the residual study's.
     """
     grids = _doubling_grids(grids)
+    if grids[0] < 2:
+        raise ValueError("correction study needs at least 2 cells: on 1 cell sin(2 pi x_j) is zero")
     series = correction_series()
     lead = series.leading()
     assert lead is not None

@@ -63,11 +63,18 @@ def rhs_weak(
     realizes the generic-flux evolution laws at a time instant, but it is
     not a usable time-stepping closure (the sampled function does not
     follow the discrete solution).
+
+    Buffers: the weighted nodal values (n_cells, n_quad), freed once the
+    volume term (n_cells, m) exists, then one (m, n_cells) array that holds
+    the boundary term and becomes the derivative in place, plus the
+    interface values and the returned field's copy.
     """
     mesh = field.mesh
     basis = field.basis
     u_at_nodes = field.coeffs @ basis.phi.T  # (N, n_quad)
-    volume = (u_at_nodes * QUAD_WEIGHTS[None, :]) @ basis.dphi
+    u_at_nodes *= QUAD_WEIGHTS
+    volume = u_at_nodes @ basis.dphi
+    del u_at_nodes
     if interface is None:
         # Entry j is the upwind value at interface j+1; wrapping the roll
         # keeps the row-0 sum telescoping to zero in exact arithmetic.
@@ -80,9 +87,13 @@ def rhs_weak(
             raise ValueError("interface function must return one value per abscissa")
         u_right = values[1:]
         u_left = values[:-1]
-    # Moment-major (m, N), so each elementwise pass runs along the cells.
-    boundary = np.outer(basis.trace_right, u_right) - np.outer(basis.trace_left, u_left)
-    deriv = (volume.T - boundary) / (mesh.dx * basis.mass)[:, None]
+    # Moment-major (m, N), so each elementwise pass runs along the cells;
+    # the boundary term becomes the derivative in place.
+    deriv = np.multiply.outer(basis.trace_right, u_right)
+    for row, trace in zip(deriv, basis.trace_left):
+        row -= trace * u_left
+    np.subtract(volume.T, deriv, out=deriv)
+    deriv /= (mesh.dx * basis.mass)[:, None]
     return field.with_data(deriv.T)
 
 

@@ -82,11 +82,24 @@ class Stencil:
         return self.blocks.shape[-1]
 
     def apply(self, state):
-        """Right-hand side of a state with .data (n_cells[, m]), .mesh, .with_data."""
-        a = state.data.reshape(state.mesh.n_cells, self.size)
+        """Right-hand side of a state with .data (n_cells[, m]), .mesh, .with_data.
+
+        Buffers: the sum out and one product buffer a @ S_o.T, both
+        (n_cells, m).  The product buffer is reused for every offset and freed
+        before with_data copies out; nothing is rolled.
+        """
+        n = state.mesh.n_cells
+        a = state.data.reshape(n, self.size)
         out = np.zeros_like(a)
+        term = np.empty_like(a)
         for o, block in zip(self.offsets, self.blocks):
-            out += (np.roll(a, -o, axis=0) if o else a) @ block.T
+            # Rows are independent, so row j of roll(a, -o) @ S_o.T is row
+            # (j + o) mod n of a @ S_o.T: add it as two shifted slices.
+            np.matmul(a, block.T, out=term)
+            s = o % n
+            out[: n - s] += term[s:]
+            out[n - s :] += term[:s]
+        del term
         out /= state.mesh.dx
         return state.with_data(out.reshape(state.data.shape))
 

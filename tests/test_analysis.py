@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from dgmodeq.analysis import (
     _sine,
     _sine_projection,
     _fit_order,
+    _grid_estimates,
+    _residual_fits,
     check_convergence,
     check_correction,
     check_residual,
@@ -130,11 +133,17 @@ def test_run_config_defaults():
         lambda: run_correction((20.5, 41)),
         # a repeated degree used to write its rows twice
         lambda: run_spectrum((1, 1)),
+        # on 1 or 2 cells sin or cos(2 pi x_j) vanishes at the centres: the
+        # residual fit printed 2.1e14 and the correction cmax 3.9e-15
+        lambda: run_residual(RunConfig("dg-p2", (1, 2, 4))),
+        lambda: run_residual(RunConfig("dg-p1", (2, 4))),
+        lambda: run_correction((1, 2, 4)),
     ],
     ids=[
         "n_theta=0", "n_theta=-5", "no-degrees", "no-grids",
         "n_theta=2.5", "n_theta=True", "n_theta='3'", "degree=3", "grids=(20.5, 41)",
-        "degrees=(1, 1)",
+        "degrees=(1, 1)", "residual-grids=(1, 2, 4)", "residual-grids=(2, 4)",
+        "correction-grids=(1, 2, 4)",
     ],
 )
 def test_study_rejects_empty_input(study):
@@ -423,6 +432,35 @@ def test_residual_fine_ladder_reads_the_law_not_rounding(scheme):
             assert cell["rel_err"] < 1e-5, cell
             checked += 1
     assert checked == 2 * sum(info["exact"] != 0 for info in table.meta["targets"].values())
+
+
+def _traced_peak(call) -> int:
+    """Bytes call() allocates at its peak, above what was live before it."""
+    call()  # first-call numpy state is not the kernel's
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_residual_kernels_peak_memory():
+    # dg-p2 at N=20480, numpy 2.4.6: one (N, 3) state is 480 KiB.  With
+    # full-size temporaries rhs_weak peaked at 2882 KiB, rhs_matrix at 1441
+    # and one _grid_estimates call at 4483; filling their own buffers, they
+    # peak at 1601, 961 and 3202 KiB.
+    n, basis = 20480, ModalBasis(2)
+    field, _ = _sine_projection(Mesh1D(n), basis)
+    fits = _residual_fits(2)
+    assert _traced_peak(lambda: rhs_weak(field, _sine)) <= 1800 * 1024
+    assert _traced_peak(lambda: rhs_matrix(field)) <= 1100 * 1024
+    assert _traced_peak(lambda: _grid_estimates(n, basis, fits)) <= 3400 * 1024
 
 
 def test_correction_ratio_follows_cmax():

@@ -43,7 +43,7 @@ def _old_rhs_fv2(field, slope):
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_dg_apply_matches_matrix_formula(degree):
     rng = np.random.default_rng(degree)
-    for n in (1, 2, 7, 64):
+    for n in (1, 2, 7, 64, 1280, 4097, 20480):  # up to the residual study's sizes
         field = ModalField(Mesh1D(n), ModalBasis(degree), rng.standard_normal((n, degree + 1)))
         got = update_matrices(degree).apply(field)
         assert isinstance(got, ModalField)
