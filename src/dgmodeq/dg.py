@@ -15,7 +15,7 @@ can check the other:
   {0: -A, -1: +B} (fv.fv_stencil is the FV one); it gives symbol(), the
   per-wavenumber amplification generator, and drives the exact Fourier
   propagator (Integrator.propagate) of the convergence study.  rhs_weak
-  never touches the stencil, so marching with it stays independent, and
+  never touches the stencil, so it stays an independent check of it, and
   the exact laws of exact.modeq come from the same weak form (traces,
   volume matrix, mass) without reading A or B.
 
@@ -85,6 +85,9 @@ def rhs_weak(
         values = np.asarray(interface(mesh.interfaces), dtype=float)
         if values.shape != mesh.interfaces.shape:
             raise ValueError("interface function must return one value per abscissa")
+        if not np.all(np.isfinite(values)):
+            bad = float(mesh.interfaces[~np.isfinite(values)][0])
+            raise ValueError(f"interface function is not finite at x = {bad!r}")
         u_right = values[1:]
         u_left = values[:-1]
     # Moment-major (m, N), so each elementwise pass runs along the cells;

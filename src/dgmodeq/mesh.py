@@ -71,6 +71,8 @@ class Stencil:
         for o in self.offsets:
             if blocks[o].shape != (m, m):
                 raise ValueError(f"stencil block at offset {o} is {blocks[o].shape}, not ({m}, {m})")
+            if np.iscomplexobj(blocks[o]) or not np.all(np.isfinite(blocks[o].astype(float))):
+                raise ValueError(f"stencil block at offset {o} is not real and finite")
         self.blocks = _readonly(np.array([blocks[o] for o in self.offsets], dtype=float))
 
     def __reduce__(self) -> tuple:

@@ -3,13 +3,13 @@
 A state only needs a read-only .data ndarray, a .with_data(array)
 constructor and a .mesh (integrate and propagate size dt from it), so modal
 fields, average fields and scalar test states all step through the same
-code.  The right-hand side is a callable rhs(state, t) returning a state of
-the same kind.
+code.  The equation is autonomous and linear, so a scheme is one
+mesh.Stencil, and both routes take it.
 
 Two routes reach t_final on the same integer step schedule:
 
-* integrate() marches step by step with any rhs, through the method's
-  table of Shu-Osher stages (STAGES); it is the reference;
+* integrate() marches step by step with the stencil's apply(), through the
+  method's table of Shu-Osher stages (STAGES); it is the reference;
 * propagate() applies the fully discrete scheme of a linear periodic
   mesh.Stencil in Fourier space, mode by mode, in O(N log N + N log n)
   instead of O(N n).  It does not read the stages: each method is an
@@ -27,19 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, TypeVar
+from typing import Protocol, TypeVar
 
 import numpy as np
 
 from .exact.numbers import check_finite
 from .mesh import Mesh1D, Stencil
 
-#: Shu-Osher rows (a, b, c) of each method: from y_0 = y, stage i is
-#: y_i = a y + b (y_{i-1} + dt L(y_{i-1}, t + c dt)), and the last is the step.
+#: Shu-Osher rows (a, b) of each method: from y_0 = y, stage i is
+#: y_i = a y + b (y_{i-1} + dt L y_{i-1}), and the last is the step.
 STAGES = {
-    "euler": ((0.0, 1.0, 0.0),),
-    "ssprk2": ((0.0, 1.0, 0.0), (0.5, 0.5, 1.0)),
-    "ssprk3": ((0.0, 1.0, 0.0), (0.75, 0.25, 1.0), (1.0 / 3.0, 2.0 / 3.0, 0.5)),
+    "euler": ((0.0, 1.0),),
+    "ssprk2": ((0.0, 1.0), (0.5, 0.5)),
+    "ssprk3": ((0.0, 1.0), (0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0)),
 }
 METHODS = tuple(STAGES)
 
@@ -94,14 +94,14 @@ class Integrator:
         n = max(int(q > 0), math.ceil(q - (1e-9 + 8.0 * math.ulp(1.0) * q)))
         return n, dt, self.t_final - max(n - 1, 0) * dt
 
-    def step(self, state: S, rhs: Callable[[S, float], S], dt: float, t: float = 0.0) -> S:
-        """One step from time t: one rhs evaluation per row of STAGES[method]."""
+    def step(self, state: S, stencil: Stencil, dt: float) -> S:
+        """One step: one stencil.apply per row of STAGES[method]."""
         y, stage = state.data, state
-        for a, b, c in STAGES[self.method]:
-            stage = state.with_data(a * y + b * (stage.data + dt * rhs(stage, t + c * dt).data))
+        for a, b in STAGES[self.method]:
+            stage = state.with_data(a * y + b * (stage.data + dt * stencil.apply(stage).data))
         return stage
 
-    def integrate(self, state: S, rhs: Callable[[S, float], S]) -> tuple[S, int]:
+    def integrate(self, state: S, stencil: Stencil) -> tuple[S, int]:
         """March to t_final; returns (final state, number of steps taken).
 
         Aborts with RuntimeError naming the step index if the state stops
@@ -113,13 +113,13 @@ class Integrator:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n):
                 h = dt if i < n - 1 else dt_last
-                state = self.step(state, rhs, h, i * dt)
+                state = self.step(state, stencil, h)
                 if not np.all(np.isfinite(state.data)):
                     raise _unstable(i + 1, i * dt + h)
         return state, n
 
     def propagate(self, state: S, stencil: Stencil) -> tuple[S, int, np.ndarray]:
-        """Same result as integrate(state, stencil rhs), by Fourier modes.
+        """Same result as integrate(state, stencil), by Fourier modes.
 
         The rfft of the state along cells splits it into modes
         theta_k = 2 pi k / N, each multiplied by one small matrix:

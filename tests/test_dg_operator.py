@@ -161,6 +161,8 @@ def test_exact_interface_shape_validated():
     field = project(lambda x: x, Mesh1D(4), 1)
     with pytest.raises(ValueError):
         rhs_weak(field, lambda x: np.zeros(3))
+    with pytest.raises(ValueError, match="x = 0.75"):
+        rhs_weak(field, lambda x: np.where(x > 0.5, np.nan, 0.0))
 
 
 def test_flux_rule_type_checked():

@@ -116,8 +116,14 @@ def test_stencil_blocks_sorted_and_frozen():
         {0: np.ones((2, 3))},
         {0: np.eye(2), -1: 1.0},
         {0: np.ones((2, 2, 2))},
+        {0: 1j, -1: 2.0},  # used to keep the real part [2, 0] with only a ComplexWarning
+        {0: np.nan},
+        {0: np.inf},
     ],
-    ids=["half-offset", "bool-offset", "str-offset", "empty", "not-square", "mixed-sizes", "3d-block"],
+    ids=[
+        "half-offset", "bool-offset", "str-offset", "empty", "not-square", "mixed-sizes",
+        "3d-block", "complex", "nan", "inf",
+    ],
 )
 def test_stencil_rejects_bad_blocks(blocks):
     with pytest.raises(ValueError, match="offset"):
