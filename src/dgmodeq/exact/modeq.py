@@ -34,7 +34,7 @@ from .basis import (
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap it where it wraps the others.
 from .basis import update_matrices_exact  # noqa: F401
-from .numbers import QF, checked_int
+from .numbers import QF, ZERO, checked_int
 from .series import DerivativeSeries, _inv_factorial
 
 #: Interface-value modes for the symbolic stencil.
@@ -157,7 +157,9 @@ def moment_leading_scale(degree: int, m: int) -> QF:
     The moment series of a_m starts at u^(m) h^m; moment_evolution_laws
     divides out this coefficient and h^m.
     """
-    lead = projection_moment(degree, m, m) * QF(_inv_factorial(m))
+    degree = check_degree(degree)
+    m = checked_int(m, "moment index", 0, degree)
+    lead = _basis_moments(degree, DEFAULT_ORDER)[m].coefficient(m)
     if lead.is_zero():
         raise DerivationError(f"moment {m} of degree-{degree} basis has no leading term")
     return lead
@@ -218,5 +220,5 @@ def _correction_series(order: int) -> DerivativeSeries:
     unit = DerivativeSeries.unit(order)
     bracket = unit.shift(Fraction(1, 2)) + unit.shift(Fraction(-1, 2)) - unit.scaled(2)
     scaled = bracket.scaled(2).div_h(2)
-    half_uxx = DerivativeSeries.from_terms({2: Fraction(1, 2)}, order, h_shift=-2)
+    half_uxx = DerivativeSeries((ZERO, ZERO, QF(Fraction(1, 2))) + (ZERO,) * (order - 2), -2)
     return scaled - half_uxx

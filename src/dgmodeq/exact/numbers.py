@@ -18,9 +18,9 @@ each operand only, through that table.  Fractions appear only at the
 boundary: QF(...) and coerce accept ints and Fractions, and the a, b, c, d
 components and rational_value() are Fractions.
 
-Division is deliberately restricted to rational scalars and to
-single-component values (the only reciprocals the derivations need, e.g.
-1/(q*sqrt(3)) = (1/(3q))*sqrt(3)).  General quartic-field inversion is out
+x / y is x * y.reciprocal(), and reciprocal() is restricted to
+single-component values, rationals included (the only reciprocals the
+derivations need, e.g. 1/(q*sqrt(3)) = (1/(3q))*sqrt(3)).  General quartic-field inversion is out
 of scope and raises ValueError.  checked_int and check_finite are the input
 rules of both routes, for counts and for real settings.
 """
@@ -128,12 +128,6 @@ class QF:
         return Fraction(self._n[3], self._den)
 
     @classmethod
-    def rational(cls, num: RationalLike, den: RationalLike = 1) -> QF:
-        p, q = _ratio(num)
-        r, s = _ratio(den)
-        return cls.coerce(Fraction(p * s, q * r))
-
-    @classmethod
     def coerce(cls, value: QF | RationalLike) -> QF:
         if isinstance(value, QF):
             return value
@@ -214,16 +208,7 @@ class QF:
         return _reduced(*acc, den)
 
     def __truediv__(self, other: QF | RationalLike) -> QF:
-        o = QF.coerce(other)
-        if not o.is_rational():
-            return self * o.reciprocal()
-        p, q = o._n[0], o._den
-        if p == 0:
-            raise ZeroDivisionError("division by zero")
-        if p < 0:
-            p, q = -p, -q
-        n0, n1, n2, n3 = self._n
-        return _reduced(n0 * q, n1 * q, n2 * q, n3 * q, self._den * p)
+        return self * QF.coerce(other).reciprocal()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -23,18 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from .numbers import ONE, QF, ZERO, RationalLike, checked_int
-
-#: Offsets, in units of h, that shift() accepts.  These are the only strides
-#: the one-sided interface stencils and the half-cell evaluations use.
-ALLOWED_OFFSETS = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-)
 
 
 def _inv_factorial(n: int) -> Fraction:
@@ -67,18 +57,6 @@ class DerivativeSeries:
     def unit(cls, order: int) -> DerivativeSeries:
         """The series of u(x) itself: c_0 = 1."""
         return cls([ONE] + [ZERO] * order, 0)
-
-    @classmethod
-    def from_terms(
-        cls,
-        terms: Mapping[int, QF | RationalLike],
-        order: int,
-        h_shift: int = 0,
-    ) -> DerivativeSeries:
-        coeffs = [ZERO] * (order + 1)
-        for p, coeff in terms.items():
-            coeffs[checked_int(p, "term index", 0, order)] = QF.coerce(coeff)
-        return cls(coeffs, h_shift)
 
     # -- inspection --------------------------------------------------------
 
@@ -138,12 +116,9 @@ class DerivativeSeries:
 
         u^(p)(x + offset*h) = sum_q u^(p+q)(x) * (offset*h)^q / q!, so the
         shifted coefficient at index r collects every p <= r.  The result is
-        exact through the existing truncation order.  Offsets are restricted
-        to the strides the stencils actually use (+-1, +-1/2).
+        exact through the existing truncation order.
         """
         off = Fraction(offset)
-        if off not in ALLOWED_OFFSETS:
-            raise ValueError(f"offset {off} not in {{+-1, +-1/2}}")
         n = len(self.coeffs)
         weights = _taylor_weights(off, n)
         terms = [(p, c) for p, c in enumerate(self.coeffs) if c]
@@ -159,15 +134,6 @@ class DerivativeSeries:
     def div_h(self, power: int = 1) -> DerivativeSeries:
         """Divide by h**power: pure h bookkeeping, coefficients untouched."""
         return DerivativeSeries(self.coeffs, self.h_shift - checked_int(power, "power", 0))
-
-    def differentiated(self) -> DerivativeSeries:
-        """d/dx of the series; every u^(p) h^q term becomes u^(p+1) h^q."""
-        return DerivativeSeries((ZERO,) + self.coeffs, self.h_shift - 1)
-
-    def truncated(self, order: int) -> DerivativeSeries:
-        if order > self.order:
-            raise IndexError(f"cannot extend truncation {self.order} to {order}")
-        return DerivativeSeries(self.coeffs[: order + 1], self.h_shift)
 
     # -- display -------------------------------------------------------------
 

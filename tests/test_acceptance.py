@@ -35,7 +35,11 @@ from dgmodeq import (
 from dgmodeq.analysis import run_convergence
 from dgmodeq.cli import main
 
-R = QF.rational
+
+def R(p, q=1):
+    return QF(F(p, q))
+
+
 SQ3 = QF(0, 1, 0, 0)
 SQ5 = QF(0, 0, 1, 0)
 SQ15 = QF(0, 0, 0, 1)

@@ -24,7 +24,9 @@ from dgmodeq.exact.basis import (
     xi_moment,
 )
 
-R = QF.rational
+
+def R(p, q=1):
+    return QF(Fraction(p, q))
 
 
 def test_xi_moments():

@@ -28,7 +28,11 @@ from dgmodeq.exact import (
 )
 from dgmodeq.exact.series import _taylor_weights
 
-R = QF.rational
+
+def R(p, q=1):
+    return QF(F(p, q))
+
+
 SQ3 = QF(0, 1, 0, 0)
 SQ5 = QF(0, 0, 1, 0)
 
@@ -62,6 +66,12 @@ def test_moment_leading_scale():
     assert moment_leading_scale(2, 1) == SQ3 / 6
     assert moment_leading_scale(2, 2) == SQ5 / 60
     assert moment_leading_scale(2, 0) == R(1)
+
+
+@pytest.mark.parametrize("degree,m", [(1, 2), (2, -1), (1, 1.0), (0, True)], ids=repr)
+def test_moment_leading_scale_rejects_a_moment_outside_the_basis(degree, m):
+    with pytest.raises(ValueError, match="moment index"):
+        moment_leading_scale(degree, m)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +134,9 @@ def test_exact_point_structure_theorem(degree):
     rhs = modified_equation(StencilSpec(degree, EXACT_POINT, order))
     moments = basis_moments(degree, order)
     for m in range(degree + 1):
-        predicted = (-moments[m].differentiated()).truncated(rhs[m].order)
+        # -d/dx turns each c_p u^(p) h^p into -c_p u^(p+1) h^p
+        minus_dx = (R(0),) + tuple(-c for c in moments[m].coeffs[: rhs[m].order])
+        predicted = DerivativeSeries(minus_dx, moments[m].h_shift - 1)
         assert rhs[m] == predicted
 
 

@@ -11,28 +11,32 @@ from dgmodeq.exact import QF
 from dgmodeq.exact.numbers import ONE, SQRT3, SQRT5, SQRT15, ZERO
 
 
+def R(p, q=1):
+    return QF(Fraction(p, q))
+
+
 def test_surd_product_table():
-    assert SQRT3 * SQRT3 == QF.rational(3)
-    assert SQRT5 * SQRT5 == QF.rational(5)
+    assert SQRT3 * SQRT3 == R(3)
+    assert SQRT5 * SQRT5 == R(5)
     assert SQRT3 * SQRT5 == SQRT15
-    assert SQRT3 * SQRT15 == QF.rational(3) * SQRT5
-    assert SQRT5 * SQRT15 == QF.rational(5) * SQRT3
-    assert SQRT15 * SQRT15 == QF.rational(15)
+    assert SQRT3 * SQRT15 == R(3) * SQRT5
+    assert SQRT5 * SQRT15 == R(5) * SQRT3
+    assert SQRT15 * SQRT15 == R(15)
 
 
 def test_conjugate_products():
-    assert (ONE + SQRT3) * (ONE - SQRT3) == QF.rational(-2)
+    assert (ONE + SQRT3) * (ONE - SQRT3) == R(-2)
     s = SQRT3 + SQRT5
-    assert s * s == QF.rational(8) + QF.rational(2) * SQRT15
+    assert s * s == R(8) + R(2) * SQRT15
 
 
 def test_reciprocal_single_component():
     assert SQRT3.reciprocal() == QF(0, Fraction(1, 3), 0, 0)
     assert SQRT5.reciprocal() == QF(0, 0, Fraction(1, 5), 0)
     assert SQRT15.reciprocal() == QF(0, 0, 0, Fraction(1, 15))
-    half = QF.rational(1, 2)
-    assert half.reciprocal() == QF.rational(2)
-    for x in (SQRT3, SQRT5, SQRT15, QF.rational(-7, 3)):
+    half = R(1, 2)
+    assert half.reciprocal() == R(2)
+    for x in (SQRT3, SQRT5, SQRT15, R(-7, 3)):
         assert x * x.reciprocal() == ONE
 
 
@@ -134,8 +138,8 @@ def test_float_demotion_matches_components():
 
 
 def test_rational_value_and_predicates():
-    assert QF.rational(3, 4).rational_value() == Fraction(3, 4)
-    assert QF.rational(0).is_zero()
+    assert R(3, 4).rational_value() == Fraction(3, 4)
+    assert R(0).is_zero()
     assert not SQRT3.is_rational()
     with pytest.raises(ValueError):
         SQRT3.rational_value()
@@ -143,18 +147,18 @@ def test_rational_value_and_predicates():
 
 def test_division_by_rational():
     assert SQRT3 / 2 == QF(0, Fraction(1, 2), 0, 0)
-    assert (QF.rational(6) * SQRT5) / QF.rational(3) == QF.rational(2) * SQRT5
+    assert (R(6) * SQRT5) / R(3) == R(2) * SQRT5
 
 
 def test_str_forms():
-    assert str(QF.rational(1, 2)) == "1/2"
+    assert str(R(1, 2)) == "1/2"
     assert str(SQRT3) == "sqrt(3)"
-    assert str(QF.rational(-1, 6) * SQRT5) == "-1/6*sqrt(5)"
+    assert str(R(-1, 6) * SQRT5) == "-1/6*sqrt(5)"
     assert str(ZERO) == "0"
 
 
 def test_hash_consistent_with_eq():
-    assert hash(QF.rational(2)) == hash(QF.rational(4, 2))
+    assert hash(R(2)) == hash(R(4, 2))
     d = {SQRT3: "a"}
     assert d[QF(0, 1, 0, 0)] == "a"
 
@@ -191,8 +195,8 @@ def test_copy_and_pickle_round_trips(kind):
 
 
 def test_coerce_accepts_int_fraction_qf():
-    assert QF.coerce(2) == QF.rational(2)
-    assert QF.coerce(Fraction(1, 3)) == QF.rational(1, 3)
+    assert QF.coerce(2) == R(2)
+    assert QF.coerce(Fraction(1, 3)) == R(1, 3)
     assert QF.coerce(SQRT5) is SQRT5
     with pytest.raises(TypeError):
         QF.coerce(0.5)
@@ -293,7 +297,7 @@ def test_equal_values_from_different_routes_share_repr_and_hash():
         _assert_same_value(x - x, ZERO)
         r = _big_fraction(rng)
         for got in (
-            QF.rational(r.numerator * k, r.denominator * k),
+            R(r.numerator * k, r.denominator * k),
             QF.coerce(r),
             QF(r.numerator) / r.denominator,
             ZERO + r,
@@ -301,4 +305,4 @@ def test_equal_values_from_different_routes_share_repr_and_hash():
             _assert_same_value(got, QF(r))
     _assert_same_value(QF(Fraction(2, 4)), QF(Fraction(1, 2)))
     _assert_same_value(QF(0, Fraction(2, 4)), QF(0, Fraction(1, 2)))
-    _assert_same_value(QF.rational(2, 4), QF(Fraction(1, 2)))
+    _assert_same_value(R(2, 4), QF(Fraction(1, 2)))
