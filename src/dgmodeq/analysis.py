@@ -13,9 +13,11 @@ convergence and compare studies propagate it in Fourier space
 marching with Integrator.integrate is the tested reference.  Their status
 column is 'ok', 'unstable' (growth above 1 + GROWTH_TOL, see run_convergence)
 or 'failed' (a non-finite state); check_convergence fails on any but 'ok'.
-ssprk2 with dg-p2 is weakly unstable (spectral radius 1 + 1.6e-6 per step at
-cfl 0.1; Xu, Meng, Shu & Zhang, SINUM 57, 2019): a run of it reads 'unstable'
-only once its growth passes 1e-6.
+The growth bounds the energy-norm growth only from below, so 'ok' is
+necessary for energy stability but does not prove it.  ssprk2 with dg-p2 is
+weakly unstable (spectral radius 1 + 1.6e-6 per step at cfl 0.1; Xu, Meng,
+Shu & Zhang, SINUM 57, 2019), yet its runs read 'ok' on the default grids,
+where the energy-norm growth is 2.2e-4 (N=20) to 5.2e-3 (N=320).
 """
 from __future__ import annotations
 
@@ -283,6 +285,9 @@ def run_convergence(config: RunConfig) -> ResultTable:
     A grid's growth is the largest entry of |W amp W^-1| over the Fourier
     modes' propagators amp, with W = diag(sqrt(mass)) for DG (its bases are
     not orthonormal) and 1 for FV; above 1 + GROWTH_TOL the grid is 'unstable'.
+    An entry bounds the 2-norm of W amp W^-1 only from below, so 'ok' does
+    not rule out energy growth: dg-p1 at cfl 0.445 over 0.1 periods reads
+    'ok' on N = 10, 20, where that norm is 1.039 and 1.116.
     meta['fitted_l2_order'] maps the scheme to the least-squares L2 order
     over the FIT_GRIDS finest grids (all grids when there are fewer).
     """

@@ -20,9 +20,10 @@ components and rational_value() are Fractions.
 
 x / y is x * y.reciprocal(), and reciprocal() is restricted to
 single-component values, rationals included (the only reciprocals the
-derivations need, e.g. 1/(q*sqrt(3)) = (1/(3q))*sqrt(3)).  General quartic-field inversion is out
-of scope and raises ValueError.  checked_int and check_finite are the input
-rules of both routes, for counts and for real settings.
+derivations need, e.g. 1/(q*sqrt(3)) = (1/(3q))*sqrt(3)).  General
+quartic-field inversion is out of scope and raises ValueError.  checked_int
+and check_finite are the input rules of both routes, for counts and for
+real settings.
 """
 from __future__ import annotations
 
