@@ -12,8 +12,8 @@ entries exact.  The component product table is closed:
     sqrt(5)*sqrt(15) = 5*sqrt(3)
     sqrt(15)**2      = 15
 
-Sums, differences, products and quotients are plain int work followed by
-one math.gcd normalisation; products loop over the nonzero components of
+Sums, differences and products are plain int work followed by one
+math.gcd normalisation; products loop over the nonzero components of
 each operand only, through that table.  Fractions appear only at the
 boundary: QF(...) and coerce accept ints and Fractions, and the a, b, c, d
 components and rational_value() are Fractions.
