@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .basis import (
     check_degree,
@@ -34,7 +34,7 @@ from .basis import (
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap it where it wraps the others.
 from .basis import update_matrices_exact  # noqa: F401
-from .numbers import QF, ZERO, checked_int
+from .numbers import QF, checked_int
 from .series import DerivativeSeries, _inv_factorial
 
 #: Interface-value modes for the symbolic stencil.
@@ -96,17 +96,18 @@ def modified_equation(spec: StencilSpec) -> list[DerivativeSeries]:
     vol = volume_matrix(spec.degree)
     mass = mass_diagonal(spec.degree)
     if spec.mode == UPWIND_TRACE:
-        u_right = reduce(DerivativeSeries.__add__, map(DerivativeSeries.scaled, moments, tr))
+        u_right = DerivativeSeries.combination(zip(tr, moments))
         u_left = u_right.shift(-1)
     else:
         unit = DerivativeSeries.unit(spec.order)
         u_right, u_left = unit.shift(Fraction(1, 2)), unit.shift(Fraction(-1, 2))
     out = []
     for m in range(spec.degree + 1):
-        acc = u_right.scaled(tr[m]) - u_left.scaled(tl[m])
-        for n in range(spec.degree + 1):
-            acc = acc - moments[n].scaled(vol[m][n])
-        out.append((-acc.scaled(mass[m].reciprocal())).div_h())
+        # -(tr[m] U_R - tl[m] U_L - sum_n V[m][n] a_n) / M_m, then the 1/h
+        inv_mass = mass[m].reciprocal()
+        terms = [(-tr[m] * inv_mass, u_right), (tl[m] * inv_mass, u_left)]
+        terms += [(v * inv_mass, a_n) for v, a_n in zip(vol[m], moments)]
+        out.append(DerivativeSeries.combination(terms).div_h())
     return out
 
 
@@ -218,7 +219,7 @@ def correction_series(order: int = DEFAULT_ORDER) -> DerivativeSeries:
 @lru_cache(maxsize=None)
 def _correction_series(order: int) -> DerivativeSeries:
     unit = DerivativeSeries.unit(order)
-    bracket = unit.shift(Fraction(1, 2)) + unit.shift(Fraction(-1, 2)) - unit.scaled(2)
-    scaled = bracket.scaled(2).div_h(2)
-    half_uxx = DerivativeSeries((ZERO, ZERO, QF(Fraction(1, 2))) + (ZERO,) * (order - 2), -2)
-    return scaled - half_uxx
+    # h^2 u''/2, which the division by h^2 turns into u''/2
+    half_uxx = DerivativeSeries([0, 0, Fraction(1, 2)] + [0] * (order - 2))
+    up, down = unit.shift(Fraction(1, 2)), unit.shift(Fraction(-1, 2))
+    return DerivativeSeries.combination([(2, up), (2, down), (-4, unit), (-1, half_uxx)]).div_h(2)

@@ -15,8 +15,9 @@ entries exact.  The component product table is closed:
 Sums, differences and products are plain int work followed by one
 math.gcd normalisation; products loop over the nonzero components of
 each operand only, through that table.  Fractions appear only at the
-boundary: QF(...) and coerce accept ints and Fractions, and the a, b, c, d
-components and rational_value() are Fractions.
+boundary: QF(...) and coerce accept any numbers.Rational that is not a
+bool (int, Fraction, numpy integers), stored as plain ints, and the a, b,
+c, d components and rational_value() are Fractions.
 
 x / y is x * y.reciprocal(), and reciprocal() is restricted to
 single-component values, rationals included (the only reciprocals the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm, sqrt
-from numbers import Integral, Real
+from numbers import Integral, Rational, Real
 
 _SQRT3 = sqrt(3.0)
 _SQRT5 = sqrt(5.0)
@@ -70,12 +71,18 @@ def check_finite(value: float, name: str, zero_ok: bool = False) -> None:
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
-    """(numerator, denominator) of an int or Fraction, in lowest terms."""
-    if isinstance(value, int):
-        return int(value), 1
-    if isinstance(value, Fraction):
+    """(numerator, denominator) of a Rational that is not a bool, as plain ints in lowest terms.
+
+    The rule of checked_int: True is not 1, and a numpy integer is an integer.
+    """
+    if type(value) is int:
+        return value, 1
+    if type(value) is Fraction:
         return value.numerator, value.denominator
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+    if isinstance(value, Rational) and not isinstance(value, bool):
+        value = Fraction(int(value.numerator), int(value.denominator))
+        return value.numerator, value.denominator
+    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
 class QF:
@@ -212,10 +219,10 @@ class QF:
         return self * QF.coerce(other).reciprocal()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QF.coerce(other)
         if not isinstance(other, QF):
-            return NotImplemented
+            if isinstance(other, bool) or not isinstance(other, Rational):
+                return NotImplemented
+            other = QF.coerce(other)
         return self._n == other._n and self._den == other._den
 
     def __hash__(self) -> int:

@@ -306,3 +306,32 @@ def test_equal_values_from_different_routes_share_repr_and_hash():
     _assert_same_value(QF(Fraction(2, 4)), QF(Fraction(1, 2)))
     _assert_same_value(QF(0, Fraction(2, 4)), QF(0, Fraction(1, 2)))
     _assert_same_value(R(2, 4), QF(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("value", [True, False], ids=repr)
+def test_bools_are_not_numbers(value):
+    # checked_int's rule: True is not 1, in any component or operand
+    for build in (
+        lambda: QF(value),
+        lambda: QF(0, value),
+        lambda: QF(1, 0, 0, value),
+        lambda: QF.coerce(value),
+        lambda: ONE / value,
+        lambda: ONE * value,
+        lambda: ONE + value,
+        lambda: value - ONE,
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert (ONE == value) is False and (ZERO == value) is False
+    assert ONE != value
+
+
+def test_numpy_integers_are_stored_as_ints():
+    np = pytest.importorskip("numpy")
+    x = QF(np.int64(3), np.int32(-2), Fraction(1, 2), np.int16(0))
+    assert x == QF(3, -2, Fraction(1, 2), 0)
+    assert all(type(v) is int for v in (*x._n, x._den))
+    assert QF.coerce(np.int64(7)) == 7 and type(QF.coerce(np.int64(7))._n[0]) is int
+    assert ONE / np.int64(4) == R(1, 4)
+    assert R(5) == np.int64(5)

@@ -193,3 +193,96 @@ def test_series_fields_are_frozen(name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(s, name, getattr(s, name))
     assert s == DerivativeSeries.unit(2)
+
+
+def _reference_combination(terms):
+    """sum_i f_i * s_i written out coefficient by coefficient in QF."""
+    n = min(len(s.coeffs) for _, s in terms)
+    out = []
+    for p in range(n):
+        acc = QF(0)
+        for f, s in terms:
+            acc = acc + QF.coerce(f) * s.coeffs[p]
+        out.append(acc)
+    return DerivativeSeries(out, terms[0][1].h_shift)
+
+
+def _factor(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return QF(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return QF.coerce(_sparse_series(rng, 1).coeffs[0])
+
+
+def test_combination_matches_per_coefficient_reference():
+    # mixed denominators, surd and zero factors, and lengths that truncate to the shortest
+    rng = random.Random(26)
+    for _ in range(300):
+        h_shift = rng.randint(-2, 1)
+        terms = [
+            (_factor(rng), DerivativeSeries(_sparse_series(rng, rng.randint(1, 10)).coeffs, h_shift))
+            for _ in range(rng.randint(1, 5))
+        ]
+        got = DerivativeSeries.combination(terms)
+        assert got == _reference_combination(terms)
+        assert got.order == min(s.order for _, s in terms)
+        assert got.h_shift == h_shift
+    s = DerivativeSeries([q(1, 2), 0, q(3)])
+    assert DerivativeSeries.combination([(0, s), (QF(0), s)]) == DerivativeSeries([0, 0, 0])
+
+
+def test_series_form_is_canonical():
+    rng = random.Random(126)
+    for n in range(1, 10):
+        for _ in range(20):
+            s, t = _sparse_series(rng, n), _sparse_series(rng, n)
+            t = DerivativeSeries(t.coeffs, s.h_shift)
+            back = (s + t) - t
+            assert back == s and hash(back) == hash(s)
+            assert (back.rows, back.den) == (s.rows, s.den)
+            assert math.gcd(s.den, *(x for row in s.rows for x in row)) == 1 and s.den > 0
+    built = DerivativeSeries([Fraction(2, 12), Fraction(6, 9), 0, Fraction(-10, 4)])
+    scaled = DerivativeSeries([2, 8, 0, -30]).scaled(Fraction(1, 12))
+    assert built == scaled and hash(built) == hash(scaled)
+    assert (built.rows, built.den) == (scaled.rows, scaled.den)
+    assert DerivativeSeries([0, 0]).den == 1
+    assert DerivativeSeries([q(1, 3), 0]).scaled(0) == DerivativeSeries([0, 0])
+
+
+def test_combination_requires_matching_h_shift():
+    a = DerivativeSeries.unit(4)
+    with pytest.raises(ValueError, match="h_shift"):
+        DerivativeSeries.combination([(1, a), (QF(0), a.div_h())])
+    with pytest.raises(ValueError, match="h_shift"):
+        a - a.div_h(2)
+    with pytest.raises(ValueError):
+        DerivativeSeries.combination([])
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 1.0, "1/2", None], ids=repr)
+def test_coefficients_and_factors_must_be_rational(value):
+    # True would read as 1 and 0.5 as a binary fraction
+    with pytest.raises(TypeError):
+        DerivativeSeries([value, 2])
+    with pytest.raises(TypeError):
+        DerivativeSeries.unit(2).scaled(value)
+
+
+@pytest.mark.parametrize(
+    "offset", [0.1, 0.5, 1.0, "1/2", True, False, None, QF(1)], ids=repr
+)
+def test_shift_offset_must_be_rational(offset):
+    # Fraction(0.1) is 3602879701896397/2**55, and Fraction("1/2") parses text
+    with pytest.raises(TypeError):
+        DerivativeSeries.unit(4).shift(offset)
+
+
+def test_numpy_integers_are_integers():
+    np = pytest.importorskip("numpy")
+    s = DerivativeSeries([np.int64(1), np.int32(-2), Fraction(1, 2)])
+    assert s == DerivativeSeries([1, -2, Fraction(1, 2)])
+    assert all(type(x) is int for row in s.rows for x in row)
+    assert s.scaled(np.int64(3)) == s.scaled(3)
+    assert DerivativeSeries.unit(4).shift(np.int64(-1)) == DerivativeSeries.unit(4).shift(-1)
