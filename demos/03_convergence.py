@@ -5,14 +5,14 @@ O(h^2), so the scheme lands second order overall; dg-p2's three moments
 are all clean to O(h^2) relative with an extra cancellation that lifts
 the scheme to third order. The rates below are measured, not assumed.
 """
-from dgmodeq import RunConfig, run_convergence
+from dgmodeq import RunConfig, fitted_l2_orders, run_convergence
 
 
 def main():
     for scheme in ("dg-p1", "dg-p2"):
         table = run_convergence(RunConfig(scheme, (20, 40, 80, 160)))
         print(table.format_text())
-        order = table.meta["fitted_l2_order"][scheme]
+        order = fitted_l2_orders(table)[scheme]
         print(f"fitted L2 order for {scheme}: {order:.3f}")
         print()
     print("halving dx divides the dg-p1 error by ~4 and the dg-p2 error by ~8.")

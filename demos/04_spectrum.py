@@ -14,14 +14,13 @@ usable cfl shrinks as k goes up.
 import numpy as np
 
 from dgmodeq import run_spectrum, symbol
+from dgmodeq.analysis import spectrum_by_degree
 
 
 def main():
-    table = run_spectrum()
-    for degree in (0, 1, 2):
-        eigs = table.meta["theta0"][degree]
+    for degree, (worst, eigs) in spectrum_by_degree(run_spectrum()).items():
         shown = ", ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in eigs)
-        print(f"degree {degree}: max Re over the circle = {table.meta['max_re'][degree]:.2e}")
+        print(f"degree {degree}: max Re over the circle = {worst:.2e}")
         print(f"          theta=0 eigenvalues: {shown}")
     print()
     print("worst-damped nonzero mode at theta = pi:")

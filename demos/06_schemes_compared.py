@@ -12,13 +12,13 @@ Two comparisons in one sitting:
    moment derivative against the predicted leading shape. The fitted
    numbers converge on the exact rational coefficients.
 """
-from dgmodeq import RunConfig, run_compare, run_residual
+from dgmodeq import RunConfig, fitted_l2_orders, run_compare, run_residual
 
 
 def main():
     table = run_compare(RunConfig("dg-p1", (20, 40, 80, 160)))
     print(table.format_text())
-    for scheme, order in table.meta["fitted_l2_order"].items():
+    for scheme, order in fitted_l2_orders(table).items():
         print(f"fitted L2 order {scheme}: {order:.3f}")
     print()
 

@@ -6,17 +6,14 @@ floating-point modules run the matching schemes so that every derived
 coefficient can be re-measured from the live operator.
 """
 from .analysis import (
-    EOC_BANDS,
     SCHEMES,
-    InitialCondition,
-    ResultTable,
     RunConfig,
     check_convergence,
     check_correction,
     check_residual,
     check_spectrum,
-    check_taylor,
     exact_solution,
+    fitted_l2_orders,
     initial_condition,
     run_compare,
     run_convergence,
@@ -35,20 +32,15 @@ from .dg import (
 )
 from .exact import (
     EXACT_POINT,
-    MODES,
     UPWIND_TRACE,
     QF,
-    DerivationError,
-    DerivativeSeries,
-    ModifiedPDE,
     StencilSpec,
     basis_moments,
     correction_series,
-    modified_equation,
     moment_evolution_laws,
     update_matrices_exact,
 )
-from .field import ModalField, Norms, error_norms, project
+from .field import ModalField, error_norms, project
 from .fv import (
     AverageField,
     average_error_norms,
@@ -58,29 +50,20 @@ from .fv import (
     rhs_fv2,
 )
 from .mesh import Mesh1D, Stencil
-from .timestepping import METHODS, Integrator
+from .timestepping import Integrator
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EOC_BANDS",
     "EXACT_POINT",
-    "METHODS",
-    "MODES",
     "SCHEMES",
     "UPWIND_TRACE",
     "AverageField",
-    "DerivationError",
-    "DerivativeSeries",
-    "InitialCondition",
     "Integrator",
     "Mesh1D",
     "ModalBasis",
     "ModalField",
-    "ModifiedPDE",
-    "Norms",
     "QF",
-    "ResultTable",
     "RunConfig",
     "Stencil",
     "StencilSpec",
@@ -90,14 +73,13 @@ __all__ = [
     "check_correction",
     "check_residual",
     "check_spectrum",
-    "check_taylor",
     "correction_series",
     "correction_term",
     "error_norms",
     "exact_solution",
+    "fitted_l2_orders",
     "fv_stencil",
     "initial_condition",
-    "modified_equation",
     "moment_evolution_laws",
     "project",
     "project_averages",

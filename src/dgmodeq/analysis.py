@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -185,7 +187,11 @@ def _fmt(value: object, spec: str) -> str:
 
 
 class ResultTable:
-    """Ordered columns, ordered rows, deterministic CSV rendering."""
+    """Ordered columns, ordered rows, deterministic CSV rendering; every check_* reads the rows.
+
+    meta copies rows only for the benchmark's output checks (perfbench/check.py): 'targets'
+    (run_residual), 'max_re' (run_spectrum) and 'exact_fraction' (run_correction).
+    """
 
     def __init__(self, name: str, columns: Sequence[str]) -> None:
         self.name = name
@@ -288,8 +294,6 @@ def run_convergence(config: RunConfig) -> ResultTable:
     An entry bounds the 2-norm of W amp W^-1 only from below, so 'ok' does
     not rule out energy growth: dg-p1 at cfl 0.445 over 0.1 periods reads
     'ok' on N = 10, 20, where that norm is 1.039 and 1.116.
-    meta['fitted_l2_order'] maps the scheme to the least-squares L2 order
-    over the FIT_GRIDS finest grids (all grids when there are fewer).
     """
     ic = initial_condition(config.ic)
     integ = Integrator(config.integrator, config.cfl, t_final=config.periods)
@@ -319,26 +323,27 @@ def run_convergence(config: RunConfig) -> ResultTable:
             **norms._asdict(),
             **eocs,
         )
-    finest = records[-FIT_GRIDS:]
-    table.meta["fitted_l2_order"] = {
-        config.scheme: _fit_order([r[0] for r in finest], [r[1].l2 for r in finest])
-    }
     return table
 
 
 def run_compare(config: RunConfig) -> ResultTable:
-    """Modal P1 against both second-order FV slope variants, one table."""
+    """Modal P1 against both second-order FV slope variants: their rows, one table."""
     table = ResultTable("compare", _CONV_COLUMNS)
-    orders = table.meta["fitted_l2_order"] = {}
     for scheme in ("dg-p1", "fv2-central", "fv2-upwind"):
-        part = run_convergence(replace(config, scheme=scheme))
-        table.rows.extend(part.rows)
-        orders.update(part.meta["fitted_l2_order"])
+        table.rows.extend(run_convergence(replace(config, scheme=scheme)).rows)
     return table
 
 
+def fitted_l2_orders(table: ResultTable) -> dict[str, float | None]:
+    """Each scheme's least-squares L2 order over its FIT_GRIDS finest rows (all, when fewer)."""
+    ladders: dict[str, list] = {}
+    for scheme, n, l2 in zip(*map(table.column, ("scheme", "N", "l2"))):
+        ladders.setdefault(scheme, []).append((n, l2))
+    return {scheme: _fit_order(*zip(*rows[-FIT_GRIDS:])) for scheme, rows in ladders.items()}
+
+
 def check_convergence(table: ResultTable) -> list[str]:
-    """Every grid that did not run 'ok' or took no step, then EOC-band failures per scheme.
+    """Every row that did not run 'ok' or took no step, then fitted_l2_orders outside EOC_BANDS.
 
     A grid that took no step reports the error of the projection alone,
     whose order is not the scheme's.
@@ -349,7 +354,7 @@ def check_convergence(table: ResultTable) -> list[str]:
             failures.append(f"{scheme}: N={n} status {status}")
         elif steps == 0:
             failures.append(f"{scheme}: N={n} took no time step")
-    for scheme, order in table.meta.get("fitted_l2_order", {}).items():
+    for scheme, order in fitted_l2_orders(table).items():
         lo, hi = EOC_BANDS[scheme]
         if order is None:
             failures.append(f"{scheme}: no usable error data to fit an order")
@@ -498,14 +503,16 @@ def run_residual(config: RunConfig) -> ResultTable:
 
 
 def check_residual(table: ResultTable) -> list[str]:
-    """1% relative agreement on the finest grids for every nonzero target."""
+    """1% relative agreement on the CHECK_GRIDS finest 'grid' rows of every nonzero target."""
+    fits: dict[tuple, list] = {}
+    names = ("estimator", "mode", "moment", "h_power", "N", "exact", "measured")
+    for estimator, mode, m, q, n, exact, measured in zip(*map(table.column, names)):
+        if estimator == "grid":
+            fits.setdefault((mode, m, q), []).append((n, float(Fraction(exact)), measured))
     failures = []
-    for (mode, m, q), info in table.meta.get("targets", {}).items():
-        if info["exact"] == 0:
-            continue
-        exact = float(info["exact"])
-        for n, measured in info["estimates"][-CHECK_GRIDS:]:
-            rel = abs(measured - exact) / abs(exact)
+    for (mode, m, q), rows in fits.items():
+        for n, exact, measured in rows[-CHECK_GRIDS:]:
+            rel = abs(measured - exact) / abs(exact) if exact else 0.0  # a zero is not judged
             if rel > RESIDUAL_RTOL:
                 failures.append(
                     f"{mode} m={m} h^{q}: measured {measured:.6g} vs exact {exact:.6g} "
@@ -528,8 +535,7 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
     through one symbol() call and one batched eigvals; rows are sorted by
     (re, im) within each theta for deterministic output.  The table is
     named spectrum_p<k> for a single degree k, else spectrum.
-    meta['max_re'] maps degree -> max real part over all samples;
-    meta['theta0'] maps degree -> the sorted eigenvalues at theta = 0.
+    meta['max_re'] maps degree -> max real part over all samples.
     """
     degrees = tuple(check_degree(d) for d in degrees)
     if not degrees:
@@ -541,13 +547,11 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
     name = f"spectrum_p{degrees[0]}" if len(degrees) == 1 else "spectrum"
     table = ResultTable(name, _SPECTRUM_COLUMNS)
     max_re = table.meta.setdefault("max_re", {})
-    theta0 = table.meta.setdefault("theta0", {})
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     for degree in degrees:
         eigs = np.linalg.eigvals(symbol(thetas, degree))  # (n_theta, m)
         order = np.lexsort((eigs.imag, eigs.real), axis=-1)
         eigs = np.take_along_axis(eigs, order, axis=-1)
-        theta0[degree] = tuple(complex(z) for z in eigs[0])
         max_re[degree] = float(eigs.real.max())
         # Built by column: theta-major, branch-minor, as Python scalars.
         m = degree + 1
@@ -558,20 +562,30 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
     return table
 
 
+def spectrum_by_degree(table: ResultTable) -> dict[int, tuple[float, tuple[complex, ...]]]:
+    """Each degree's largest re and theta = 0 eigenvalues, in one pass over the rows."""
+    found = {}
+    for degree, rows in groupby(table.rows, itemgetter(0)):  # degree by degree, theta-major
+        rows = list(rows)
+        at_zero = (complex(re, im) for _, theta, _, re, im in rows[: degree + 1] if theta == 0.0)
+        found[degree] = max(map(itemgetter(3), rows)), tuple(at_zero)
+    return found
+
+
+#: The degree-2 eigenvalues at theta = 0 by (re, im): the roots of lambda^2 + 6 lambda + 60, and 0.
+_P2_AT_THETA_ZERO = (-3.0 - 1j * np.sqrt(51.0), -3.0 + 1j * np.sqrt(51.0), 0.0 + 0.0j)
+
+
 def check_spectrum(table: ResultTable) -> list[str]:
-    """Non-positivity of every sampled eigenvalue, plus the P2 theta=0 pins."""
+    """Non-positivity of every eigenvalue row, plus the degree-2 theta=0 pins."""
     failures = []
-    for degree, worst in table.meta.get("max_re", {}).items():
+    by_degree = spectrum_by_degree(table)
+    for degree, (worst, _) in by_degree.items():
         if worst > SPECTRUM_RE_TOL:
             failures.append(f"degree {degree}: max Re eigenvalue {worst:.3e} > {SPECTRUM_RE_TOL}")
-    theta0 = table.meta.get("theta0", {})
-    if 2 in theta0:
-        expected = sorted(
-            (0.0 + 0.0j, -3.0 + 1j * np.sqrt(51.0), -3.0 - 1j * np.sqrt(51.0)),
-            key=lambda z: (z.real, z.imag),
-        )
-        got = theta0[2]
-        err = max(abs(a - b) for a, b in zip(got, expected))
+    if 2 in by_degree:
+        got = by_degree[2][1]
+        err = max(abs(a - b) for a, b in zip(got, _P2_AT_THETA_ZERO)) if len(got) == 3 else np.inf
         if err > 1e-10:
             failures.append(f"degree 2 theta=0 eigenvalues off by {err:.3e} (> 1e-10)")
     return failures
@@ -621,6 +635,7 @@ def run_correction(grids: Sequence[int] = DEFAULT_GRIDS) -> ResultTable:
 
 
 def check_correction(table: ResultTable) -> list[str]:
+    """1% relative agreement on the CHECK_GRIDS finest rows, every decay ratio 4.0 +- 0.1."""
     failures = []
     rel_errs = table.column("rel_err")
     ns = table.column("N")

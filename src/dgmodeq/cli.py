@@ -39,12 +39,14 @@ from .analysis import (
     check_residual,
     check_spectrum,
     check_taylor,
+    fitted_l2_orders,
     initial_condition,
     run_compare,
     run_convergence,
     run_correction,
     run_residual,
     run_spectrum,
+    spectrum_by_degree,
     taylor_statements,
 )
 from .timestepping import METHODS
@@ -122,7 +124,7 @@ def _convergence(given: dict):
     config = RunConfig(**given)
     table = run_convergence(config)
     print(table.format_text())
-    order = table.meta["fitted_l2_order"][config.scheme]
+    order = fitted_l2_orders(table)[config.scheme]
     if order is not None:
         print(f"fitted L2 order: {order:.4f}")
     return table, f"{config.scheme} order within {EOC_BANDS[config.scheme]}"
@@ -131,7 +133,7 @@ def _convergence(given: dict):
 def _compare(given: dict):
     table = run_compare(RunConfig(**given))
     print(table.format_text())
-    for scheme, order in table.meta["fitted_l2_order"].items():
+    for scheme, order in fitted_l2_orders(table).items():
         if order is not None:
             print(f"fitted L2 order {scheme}: {order:.4f}")
     return table, "compared schemes within their order bands"
@@ -152,9 +154,9 @@ def _spectrum(given: dict):
     else:
         known = ", ".join(_SPECTRUM_DEGREE)
         raise ValueError(f"spectrum needs a single-stencil scheme ({known}), got {scheme!r}")
-    for degree, worst in table.meta["max_re"].items():
+    for degree, (worst, at_zero) in spectrum_by_degree(table).items():
         print(f"degree {degree}: max Re over {SPECTRUM_SAMPLES} samples = {worst:.3e}")
-        eigs = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in table.meta["theta0"][degree])
+        eigs = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in at_zero)
         print(f"degree {degree}: theta=0 eigenvalues {eigs}")
     return table, "no eigenvalue crosses the imaginary axis"
 

@@ -87,8 +87,8 @@ class DerivativeSeries:
 
     @classmethod
     def unit(cls, order: int) -> DerivativeSeries:
-        """The series of u(x) itself: c_0 = 1."""
-        return cls([ONE] + [ZERO] * order, 0)
+        """The series of u(x) itself: c_0 = 1, tracked through u^(order)."""
+        return cls([ONE] + [ZERO] * checked_int(order, "order", 0), 0)
 
     @staticmethod
     def combination(
@@ -137,9 +137,8 @@ class DerivativeSeries:
         return len(self.rows[0]) - 1
 
     def coefficient(self, p: int) -> QF:
-        """Coefficient of u^(p); raises once the truncation is exhausted."""
-        if p < 0:
-            raise IndexError("derivative order must be nonnegative")
+        """Coefficient of u^(p); IndexError once the truncation is exhausted."""
+        p = checked_int(p, "p", 0)
         if p > self.order:
             raise IndexError(
                 f"coefficient u^({p}) lies beyond truncation order {self.order}; "

@@ -15,6 +15,7 @@ from dgmodeq import (
     SCHEMES,
     RunConfig,
     exact_solution,
+    fitted_l2_orders,
     initial_condition,
     run_compare,
     run_convergence,
@@ -197,7 +198,7 @@ def test_convergence_small_ladder():
     eocs = table.column("eoc_l2")
     assert eocs[0] is None
     assert eocs[1] == pytest.approx(2.0, abs=0.3)
-    order = table.meta["fitted_l2_order"]["dg-p1"]
+    order = fitted_l2_orders(table)["dg-p1"]
     assert 1.7 < order < 2.3
     assert not check_convergence(table)
 
@@ -206,13 +207,13 @@ def test_fitted_order_uses_finest_grids():
     table = run_convergence(RunConfig("fv1"))
     ns, l2s = table.column("N"), table.column("l2")
     assert len(ns) > FIT_GRIDS
-    order = table.meta["fitted_l2_order"]["fv1"]
+    order = fitted_l2_orders(table)["fv1"]
     assert order == _fit_order(ns[-FIT_GRIDS:], l2s[-FIT_GRIDS:])
     assert order != _fit_order(ns, l2s)
     assert not check_convergence(table)
     # fewer grids than FIT_GRIDS: the fit spans all of them
     pair = run_convergence(RunConfig("fv1", (10, 20)))
-    assert pair.meta["fitted_l2_order"]["fv1"] == _fit_order(pair.column("N"), pair.column("l2"))
+    assert fitted_l2_orders(pair) == {"fv1": _fit_order(pair.column("N"), pair.column("l2"))}
 
 
 def test_cli_convergence_fv1_assert_default_ladder(capsys):
@@ -499,14 +500,12 @@ def test_spectrum_table_and_checks():
 def _spectrum_by_loop(degrees, n_theta):
     """The per-theta reference: scalar symbol, eigvals, sorted by (re, im)."""
     table = ResultTable("ref", ("degree", "theta", "branch", "re", "im"))
-    max_re, theta0 = table.meta.setdefault("max_re", {}), table.meta.setdefault("theta0", {})
+    max_re = table.meta.setdefault("max_re", {})
     for degree in degrees:
         worst = -np.inf
         for i in range(n_theta):
             theta = 2.0 * np.pi * i / n_theta
             eigs = sorted(np.linalg.eigvals(symbol(theta, degree)), key=lambda z: (z.real, z.imag))
-            if i == 0:
-                theta0[degree] = tuple(complex(z) for z in eigs)
             for branch, z in enumerate(eigs):
                 table.add_row(
                     degree=degree, theta=theta, branch=branch, re=float(z.real), im=float(z.imag)
@@ -585,10 +584,57 @@ def test_compare_merges_three_convergence_runs():
     for scheme in ("dg-p1", "fv2-central", "fv2-upwind"):
         part = run_convergence(dataclasses.replace(config, scheme=scheme))
         expected_rows += part.rows
-        expected_orders.update(part.meta["fitted_l2_order"])
+        expected_orders.update(fitted_l2_orders(part))
     assert table.rows == expected_rows
-    assert table.meta["fitted_l2_order"] == expected_orders
+    assert fitted_l2_orders(table) == expected_orders
     assert list(expected_orders) == ["dg-p1", "fv2-central", "fv2-upwind"]
+
+
+# ----------------------------------------------------------------------
+# every verdict reads its table's rows
+
+
+def _last_nonzero_grid_row(table):
+    cells = [dict(zip(table.columns, row)) for row in table.rows]
+    return max(i for i, c in enumerate(cells) if c["estimator"] == "grid" and c["exact"] != "0")
+
+
+def _first_degree2_row(table):
+    index = table.column("degree").index(2)
+    assert table.rows[index][1] == 0.0  # theta
+    return index
+
+
+@pytest.mark.parametrize(
+    "make, check, pick, column, edit, message",
+    [
+        (lambda: run_convergence(RunConfig("dg-p1", (20, 40, 80))), check_convergence,
+         lambda table: -1, "l2", lambda l2: 10.0 * l2, "dg-p1: fitted L2 order"),
+        (lambda: run_residual(RunConfig("dg-p1", (40, 80))), check_residual,
+         _last_nonzero_grid_row, "measured", lambda v: 1.02 * v, "at N=80 (rel err"),
+        (run_spectrum, check_spectrum,
+         lambda table: 700, "re", lambda re: 1e-9, "max Re eigenvalue 1.000e-09 > 1e-12"),
+        (run_spectrum, check_spectrum,
+         _first_degree2_row, "im", lambda im: im + 1e-6, "degree 2 theta=0 eigenvalues off by 1.0"),
+        # a pin row that leaves theta = 0 is a missing pin, not one fewer to compare
+        (run_spectrum, check_spectrum,
+         _first_degree2_row, "theta", lambda theta: 1e-3, "theta=0 eigenvalues off by inf"),
+    ],
+    ids=[
+        "convergence-l2", "residual-measured", "spectrum-re", "spectrum-theta-zero",
+        "spectrum-pin-moved",
+    ],
+)
+def test_a_row_edit_flips_its_verdict(make, check, pick, column, edit, message):
+    # meta stays as the run wrote it, so only a check that reads the rows sees the edit
+    table = make()
+    assert not check(table)
+    i, j = pick(table), table.columns.index(column)
+    row = list(table.rows[i])
+    row[j] = edit(row[j])
+    table.rows[i] = tuple(row)
+    failures = check(table)
+    assert len(failures) == 1 and message in failures[0], failures
 
 
 # ----------------------------------------------------------------------

@@ -90,8 +90,17 @@ def test_div_h_only_moves_bookkeeping():
 
 def test_truncation_is_strict():
     a = DerivativeSeries.unit(3)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="beyond truncation order 3"):
         a.coefficient(4)
+
+
+@pytest.mark.parametrize("value", [True, False, -3, -1, 2.0, 0.5, "2", None], ids=repr)
+def test_series_indices_must_be_nonnegative_integers(value):
+    # unit(True) would track order 1, unit(-3) order 0, and coefficient(True) answer for p = 1
+    with pytest.raises(ValueError, match="order"):
+        DerivativeSeries.unit(value)
+    with pytest.raises(ValueError, match="p must be"):
+        DerivativeSeries.unit(3).coefficient(value)
 
 
 def test_addition_truncates_to_shorter():
