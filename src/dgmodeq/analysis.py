@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby, islice
+from math import inf, isfinite, isnan, nan
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -531,10 +532,13 @@ _SPECTRUM_COLUMNS = ("degree", "theta", "branch", "re", "im")
 def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAMPLES) -> ResultTable:
     """Eigenvalues of the per-cell generator G(theta) over a theta grid.
 
-    For each degree the n_theta samples theta_i = 2 pi i / n_theta go
-    through one symbol() call and one batched eigvals; rows are sorted by
-    (re, im) within each theta for deterministic output.  The table is
-    named spectrum_p<k> for a single degree k, else spectrum.
+    The samples are theta_i = 2 pi i / n_theta.  For each degree only
+    i <= n_theta // 2 (theta <= pi) go through one symbol() call and one
+    batched eigvals; every i > n_theta // 2 takes the conjugates of the
+    eigenvalues at n_theta - i, since real blocks give
+    G(2 pi - theta) = conj G(theta).  Rows are sorted by (re, im) within
+    each theta for deterministic output.  The table is named
+    spectrum_p<k> for a single degree k, else spectrum.
     meta['max_re'] maps degree -> max real part over all samples.
     """
     degrees = tuple(check_degree(d) for d in degrees)
@@ -548,8 +552,10 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
     table = ResultTable(name, _SPECTRUM_COLUMNS)
     max_re = table.meta.setdefault("max_re", {})
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    half = n_theta // 2 + 1
     for degree in degrees:
-        eigs = np.linalg.eigvals(symbol(thetas, degree))  # (n_theta, m)
+        eigs = np.linalg.eigvals(symbol(thetas[:half], degree))  # (half, m)
+        eigs = np.concatenate((eigs, eigs[n_theta - half : 0 : -1].conj()))  # (n_theta, m)
         order = np.lexsort((eigs.imag, eigs.real), axis=-1)
         eigs = np.take_along_axis(eigs, order, axis=-1)
         max_re[degree] = float(eigs.real.max())
@@ -563,12 +569,22 @@ def run_spectrum(degrees: Sequence[int] = (0, 1, 2), n_theta: int = SPECTRUM_SAM
 
 
 def spectrum_by_degree(table: ResultTable) -> dict[int, tuple[float, tuple[complex, ...]]]:
-    """Each degree's largest re and theta = 0 eigenvalues, in one pass over the rows."""
+    """Each degree's largest re and theta = 0 eigenvalues, in one pass over the rows.
+
+    The largest re is nan if any row of the degree has a non-finite re or
+    im, so no bound on it holds.
+    """
     found = {}
     for degree, rows in groupby(table.rows, itemgetter(0)):  # degree by degree, theta-major
-        rows = list(rows)
-        at_zero = (complex(re, im) for _, theta, _, re, im in rows[: degree + 1] if theta == 0.0)
-        found[degree] = max(map(itemgetter(3), rows)), tuple(at_zero)
+        head = list(islice(rows, degree + 1))
+        at_zero = tuple(complex(re, im) for _, theta, _, re, im in head if theta == 0.0)
+        worst = -inf
+        for _, _, _, re, im in chain(head, rows):
+            if not (isfinite(re) and isfinite(im)):
+                worst = nan  # and it stays nan: no re compares above it
+            elif re > worst:
+                worst = re
+        found[degree] = worst, at_zero
     return found
 
 
@@ -581,12 +597,15 @@ def check_spectrum(table: ResultTable) -> list[str]:
     failures = []
     by_degree = spectrum_by_degree(table)
     for degree, (worst, _) in by_degree.items():
-        if worst > SPECTRUM_RE_TOL:
+        if isnan(worst):
+            failures.append(f"degree {degree}: a non-finite eigenvalue")
+        elif worst > SPECTRUM_RE_TOL:
             failures.append(f"degree {degree}: max Re eigenvalue {worst:.3e} > {SPECTRUM_RE_TOL}")
     if 2 in by_degree:
         got = by_degree[2][1]
-        err = max(abs(a - b) for a, b in zip(got, _P2_AT_THETA_ZERO)) if len(got) == 3 else np.inf
-        if err > 1e-10:
+        # np.max, unlike max(), keeps a nan error
+        err = np.abs(np.subtract(got, _P2_AT_THETA_ZERO)).max() if len(got) == 3 else np.inf
+        if not err <= 1e-10:
             failures.append(f"degree 2 theta=0 eigenvalues off by {err:.3e} (> 1e-10)")
     return failures
 

@@ -54,7 +54,10 @@ def checked_int(value: int, name: str, low: float = -inf, high: float = inf) -> 
     """value as an int if it is an Integral, not a bool, in [low, high]; else ValueError.
 
     int() would truncate 2.5 and read True as 1, and a cache keyed on 1.0 or True answers for 1.
+    A plain int skips the Integral ABC check, which costs most of a call.
     """
+    if type(value) is int and low <= value <= high:
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= high:
         span = f" from {low} to {high}" if high < inf else f" >= {low}" if low > -inf else ""
         raise ValueError(f"{name} must be an integer{span}, got {value!r}")

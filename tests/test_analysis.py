@@ -500,9 +500,7 @@ def test_spectrum_table_and_checks():
 def _spectrum_by_loop(degrees, n_theta):
     """The per-theta reference: scalar symbol, eigvals, sorted by (re, im)."""
     table = ResultTable("ref", ("degree", "theta", "branch", "re", "im"))
-    max_re = table.meta.setdefault("max_re", {})
     for degree in degrees:
-        worst = -np.inf
         for i in range(n_theta):
             theta = 2.0 * np.pi * i / n_theta
             eigs = sorted(np.linalg.eigvals(symbol(theta, degree)), key=lambda z: (z.real, z.imag))
@@ -510,27 +508,69 @@ def _spectrum_by_loop(degrees, n_theta):
                 table.add_row(
                     degree=degree, theta=theta, branch=branch, re=float(z.real), im=float(z.imag)
                 )
-                worst = max(worst, float(z.real))
-        max_re[degree] = worst
     return table
 
 
+#: How far a mirrored row may sit from a direct per-theta eigensolve; 4.5e-15 at 2048 samples.
+MIRROR_TOL = 1e-13
+
+
+def _by_theta(table, n_theta):
+    """{(degree, i): the rows at theta_i}, from the theta-major rows of each degree."""
+    found, start = {}, 0
+    for degree in dict.fromkeys(table.column("degree")):
+        for i in range(n_theta):
+            found[degree, i] = table.rows[start : start + degree + 1]
+            start += degree + 1
+    assert start == len(table.rows)
+    return found
+
+
 @pytest.mark.parametrize("degrees", [(0, 1, 2), (0,), (2,)])
-@pytest.mark.parametrize("n_theta", [1, 7, 256])
+@pytest.mark.parametrize("n_theta", [1, 2, 3, 7, 8, 256])
 def test_spectrum_matches_per_theta_loop(degrees, n_theta):
     table = run_spectrum(degrees, n_theta)
     ref = _spectrum_by_loop(degrees, n_theta)
-    assert table.rows == ref.rows
-    assert [tuple(map(type, row)) for row in table.rows] == [
-        tuple(map(type, row)) for row in ref.rows
-    ]
-    assert table.meta == ref.meta
+    assert table.column("theta") == ref.column("theta")
+    got, want = _by_theta(table, n_theta), _by_theta(ref, n_theta)
+    assert list(got) == list(want)
+    for (degree, i), rows in got.items():
+        assert [tuple(map(type, row)) for row in rows] == [
+            tuple(map(type, row)) for row in want[degree, i]
+        ]
+        if i <= n_theta // 2:
+            # theta <= pi is solved directly: bit for bit the per-theta loop
+            assert rows == want[degree, i]
+        else:
+            # theta > pi is its mirror's conjugates, re-sorted by (re, im)
+            mirror = sorted((re, -im) for *_, re, im in got[degree, n_theta - i])
+            assert [(re, im) for *_, re, im in rows] == mirror
+        for (*_, re, im), (*_, re_ref, im_ref) in zip(rows, want[degree, i]):
+            z, z_ref = complex(re, im), complex(re_ref, im_ref)
+            assert abs(z - z_ref) <= MIRROR_TOL * max(1.0, abs(z_ref))
+    assert table.meta == {
+        "max_re": {d: max(row[3] for row in table.rows if row[0] == d) for d in degrees}
+    }
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     for k in degrees:
         batch = symbol(thetas, k)
         assert batch.shape == (n_theta, k + 1, k + 1)
         for i, theta in enumerate(thetas):
             assert np.array_equal(batch[i], symbol(theta, k))
+
+
+@pytest.mark.parametrize("n_theta", [1, 2, 3, 7, 8, 256])
+def test_spectrum_solves_only_theta_up_to_pi(monkeypatch, n_theta):
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        solved.append(len(a) if np.ndim(a) == 3 else 1)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    run_spectrum((0, 1, 2), n_theta)
+    assert solved == [n_theta // 2 + 1] * 3
 
 
 def test_correction_small_grids():
@@ -635,6 +675,26 @@ def test_a_row_edit_flips_its_verdict(make, check, pick, column, edit, message):
     table.rows[i] = tuple(row)
     failures = check(table)
     assert len(failures) == 1 and message in failures[0], failures
+
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("column", ["re", "im"])
+@pytest.mark.parametrize(
+    "index, degree", [(0, 1), (3, 1), (16, 2), (-1, 2)],
+    ids=["first-row", "fourth-row", "degree2-pin", "last-row"],
+)
+def test_check_spectrum_fails_a_non_finite_eigenvalue(index, degree, column, value):
+    table = run_spectrum((1, 2), n_theta=8)  # degree 1 fills rows 0..15, degree 2 from 16
+    assert not check_spectrum(table) and table.rows[16][:3] == (2, 0.0, 0)
+    row = list(table.rows[index])
+    row[table.columns.index(column)] = value
+    table.rows[index] = tuple(row)
+    failures = check_spectrum(table)
+    assert f"degree {degree}: a non-finite eigenvalue" in failures
+    if index == 16:  # a theta = 0 pin is off by the same non-finite amount
+        assert any("theta=0 eigenvalues off by nan" in f or "off by inf" in f for f in failures)
+    assert len(failures) == 1 + (index == 16), failures
 
 
 # ----------------------------------------------------------------------

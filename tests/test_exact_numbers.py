@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dgmodeq.exact import QF
-from dgmodeq.exact.numbers import ONE, SQRT3, SQRT5, SQRT15, ZERO
+from dgmodeq.exact.numbers import ONE, SQRT3, SQRT5, SQRT15, ZERO, checked_int
 
 
 def R(p, q=1):
@@ -335,3 +335,39 @@ def test_numpy_integers_are_stored_as_ints():
     assert QF.coerce(np.int64(7)) == 7 and type(QF.coerce(np.int64(7))._n[0]) is int
     assert ONE / np.int64(4) == R(1, 4)
     assert R(5) == np.int64(5)
+
+
+@pytest.mark.parametrize(
+    "make, bounds, expected",
+    [
+        (lambda np: 5, (0,), 5),
+        (lambda np: 0, (0,), 0),
+        (lambda np: -7, (), -7),
+        (lambda np: 2, (1, 2), 2),
+        (lambda np: 10**30, (0,), 10**30),
+        (lambda np: np.int64(4), (0,), 4),
+        (lambda np: np.uint8(3), (1, 3), 3),
+        (lambda np: -1, (0,), "n must be an integer >= 0"),
+        (lambda np: 3, (1, 2), "n must be an integer from 1 to 2"),
+        (lambda np: True, (0,), "n must be an integer >= 0"),
+        (lambda np: False, (), "n must be an integer"),
+        (lambda np: np.int64(-4), (0,), "n must be an integer >= 0"),
+        (lambda np: np.bool_(True), (0,), "n must be an integer >= 0"),
+        (lambda np: 2.0, (0,), "n must be an integer >= 0"),
+        (lambda np: 2.5, (), "n must be an integer"),
+        (lambda np: Fraction(2), (0,), "n must be an integer >= 0"),
+        (lambda np: "3", (0,), "n must be an integer >= 0"),
+        (lambda np: math.nan, (), "n must be an integer"),
+    ],
+)
+def test_checked_int_rules(make, bounds, expected):
+    # a plain int takes the fast path; everything else the Integral rule, with one message
+    np = pytest.importorskip("numpy")
+    value = make(np)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            checked_int(value, "n", *bounds)
+        assert str(info.value) == f"{expected}, got {value!r}"
+    else:
+        got = checked_int(value, "n", *bounds)
+        assert got == expected and type(got) is int
