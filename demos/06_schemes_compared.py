@@ -24,12 +24,14 @@ def main():
 
     residual = run_residual(RunConfig("dg-p1", (40, 80, 160)))
     print("re-measuring the dg-p1 evolution laws from the live operator:")
-    for (mode, m, q), info in residual.meta["targets"].items():
-        n, measured = info["estimates"][-1]
-        print(
-            f"  {mode:12s} a{m}, h^{q} coefficient: exact {str(info['exact']):>5s},"
-            f" measured {measured:+.6f} at N={n}"
-        )
+    finest = max(residual.column("N"))
+    names = ("estimator", "N", "mode", "moment", "h_power", "exact", "measured")
+    for estimator, n, mode, m, q, exact, measured in zip(*map(residual.column, names)):
+        if estimator == "grid" and n == finest:
+            print(
+                f"  {mode:12s} a{m}, h^{q} coefficient: exact {exact:>5s},"
+                f" measured {measured:+.6f} at N={n}"
+            )
     print()
     print("the degenerate a1 u_xx coefficient is measured near zero and the")
     print("-2/5 appears at the next order: algebra and operator agree.")

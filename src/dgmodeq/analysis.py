@@ -191,7 +191,8 @@ class ResultTable:
     """Ordered columns, ordered rows, deterministic CSV rendering; every check_* reads the rows.
 
     meta copies rows only for the benchmark's output checks (perfbench/check.py): 'targets'
-    (run_residual), 'max_re' (run_spectrum) and 'exact_fraction' (run_correction).
+    (run_residual; each holds only its 'exact' coefficient), 'max_re' (run_spectrum) and
+    'exact_fraction' (run_correction).
     """
 
     def __init__(self, name: str, columns: Sequence[str]) -> None:
@@ -344,17 +345,22 @@ def fitted_l2_orders(table: ResultTable) -> dict[str, float | None]:
 
 
 def check_convergence(table: ResultTable) -> list[str]:
-    """Every row that did not run 'ok' or took no step, then fitted_l2_orders outside EOC_BANDS.
+    """Every row that did not run 'ok', took no step or has no finite positive l2, then
+    fitted_l2_orders outside EOC_BANDS.
 
     A grid that took no step reports the error of the projection alone,
-    whose order is not the scheme's.
+    whose order is not the scheme's; the fit drops a grid whose l2 is not
+    finite and positive, so such a grid must fail on its own.
     """
     failures = []
-    for scheme, n, steps, status in zip(*map(table.column, ("scheme", "N", "steps", "status"))):
+    names = ("scheme", "N", "steps", "status", "l2")
+    for scheme, n, steps, status, l2 in zip(*map(table.column, names)):
         if status != "ok":
             failures.append(f"{scheme}: N={n} status {status}")
         elif steps == 0:
             failures.append(f"{scheme}: N={n} took no time step")
+        elif not _measured(l2):
+            failures.append(f"{scheme}: N={n} l2 error {l2} is not finite and positive")
     for scheme, order in fitted_l2_orders(table).items():
         lo, hi = EOC_BANDS[scheme]
         if order is None:
@@ -499,7 +505,7 @@ def run_residual(config: RunConfig) -> ResultTable:
                     rel_err=abs(measured - exact_f) / abs(exact_f) if exact_coeff else None,
                     abs_err=abs(measured - exact_f),
                 )
-        targets[(mode, m, q)] = {"exact": exact_coeff, "estimates": found}
+        targets[(mode, m, q)] = {"exact": exact_coeff}
     return table
 
 
@@ -514,7 +520,7 @@ def check_residual(table: ResultTable) -> list[str]:
     for (mode, m, q), rows in fits.items():
         for n, exact, measured in rows[-CHECK_GRIDS:]:
             rel = abs(measured - exact) / abs(exact) if exact else 0.0  # a zero is not judged
-            if rel > RESIDUAL_RTOL:
+            if not rel <= RESIDUAL_RTOL:
                 failures.append(
                     f"{mode} m={m} h^{q}: measured {measured:.6g} vs exact {exact:.6g} "
                     f"at N={n} (rel err {rel:.2e} > {RESIDUAL_RTOL})"
@@ -654,18 +660,23 @@ def run_correction(grids: Sequence[int] = DEFAULT_GRIDS) -> ResultTable:
 
 
 def check_correction(table: ResultTable) -> list[str]:
-    """1% relative agreement on the CHECK_GRIDS finest rows, every decay ratio 4.0 +- 0.1."""
+    """1% relative agreement on the CHECK_GRIDS finest rows, every decay ratio 4.0 +- 0.1.
+
+    Both are recomputed from the measured, exact and cmax cells, not read from
+    the derived rel_err and ratio columns.
+    """
     failures = []
-    rel_errs = table.column("rel_err")
-    ns = table.column("N")
-    for n, rel in zip(ns[-CHECK_GRIDS:], rel_errs[-CHECK_GRIDS:]):
-        if rel > CORRECTION_RTOL:
+    rows = list(zip(*map(table.column, ("N", "measured", "exact"))))
+    for n, measured, exact in rows[-CHECK_GRIDS:]:
+        rel = abs(measured - exact) / abs(exact)
+        if not rel <= CORRECTION_RTOL:
             failures.append(f"N={n}: coefficient rel err {rel:.2e} > {CORRECTION_RTOL}")
-    ratios = [(n, r) for n, r in zip(ns, table.column("ratio")) if r is not None]
+    ns, cmaxes = table.column("N"), table.column("cmax")
+    ratios = [(n, prev / cmax) for n, prev, cmax in zip(ns[1:], cmaxes, cmaxes[1:])]
     if not ratios:
         failures.append("no max|C| decay ratio to check; the study needs at least two grids")
     for n, ratio in ratios:
-        if abs(ratio - 4.0) > CORRECTION_RATIO_TOL:
+        if not abs(ratio - 4.0) <= CORRECTION_RATIO_TOL:
             failures.append(f"N={n}: max|C| decay ratio {ratio:.3f} not within 4.0 +- 0.1")
     return failures
 

@@ -57,7 +57,7 @@ def xi_moment(p: int) -> Fraction:
 def poly_eval(poly: tuple[QF, ...], xi: Fraction) -> QF:
     acc = ZERO
     for k in range(len(poly) - 1, -1, -1):
-        acc = acc * QF(xi) + poly[k]
+        acc = acc * QF.coerce(xi) + poly[k]
     return acc
 
 
@@ -72,7 +72,7 @@ def poly_moment(poly: tuple[QF, ...], p: int) -> QF:
     acc = ZERO
     for k, coeff in enumerate(poly):
         if not coeff.is_zero():
-            acc = acc + coeff * QF(xi_moment(k + p))
+            acc = acc + coeff * QF.coerce(xi_moment(k + p))
     return acc
 
 

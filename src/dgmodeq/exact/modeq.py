@@ -82,7 +82,7 @@ def basis_moments(degree: int, order: int = DEFAULT_ORDER) -> list[DerivativeSer
 def _basis_moments(degree: int, order: int) -> tuple[DerivativeSeries, ...]:
     return tuple(
         DerivativeSeries(
-            projection_moment(degree, m, p) * QF(_inv_factorial(p)) for p in range(order + 1)
+            projection_moment(degree, m, p) * QF.coerce(_inv_factorial(p)) for p in range(order + 1)
         )
         for m in range(degree + 1)
     )
@@ -185,7 +185,7 @@ def _evolution_laws(spec: StencilSpec) -> tuple[ModifiedPDE, ...]:
         if dadt.h_shift != -1:
             raise ValueError(f"expected h_shift -1 from the stencil, got {dadt.h_shift}")
         lead_coeff = moment_leading_scale(spec.degree, m)
-        normalized = dadt.scaled(lead_coeff.reciprocal()).div_h(m)
+        normalized = DerivativeSeries.combination([(lead_coeff.reciprocal(), dadt)]).div_h(m)
         coeffs: list[Fraction] = []
         for p in range(normalized.order + 1):
             coeff = normalized.coefficient(p)

@@ -100,11 +100,6 @@ class QF:
         c: RationalLike = 0,
         d: RationalLike = 0,
     ) -> None:
-        if type(b) is type(c) is type(d) is int and not (b or c or d):
-            num, den = _ratio(a)
-            _set_n(self, (num, 0, 0, 0))
-            _set_den(self, den)
-            return
         parts = [_ratio(a), _ratio(b), _ratio(c), _ratio(d)]
         # lowest-terms parts over the lcm of their denominators stay coprime
         den = lcm(*(q for _, q in parts))

@@ -18,13 +18,12 @@ canonical, so the frozen record (rows, den, h_shift) compares, hashes,
 copies and pickles by value; coeffs is the tuple of QF it derives.  The
 constructor still takes any iterable of int, Fraction or QF coefficients.
 
-All arithmetic goes through one kernel, combination, which forms
-sum_i f_i * s_i for QF factors f_i with plain int row operations through the
-component product table and one gcd at the end; +, -, unary - and scaled
-are calls to it.  shift is a Toeplitz product with integer Taylor weights
-over one denominator.  Combinations truncate to the shortest operand and
-require matching h_shift (adding series with different h pairings would be
-a silent unit error, so it raises).
+The only arithmetic is combination, which forms sum_i f_i * s_i for QF
+factors f_i with plain int row operations through the component product
+table and one gcd at the end.  shift is a Toeplitz product with integer
+Taylor weights over one denominator.  Combinations truncate to the
+shortest operand and require matching h_shift (adding series with
+different h pairings would be a silent unit error, so it raises).
 """
 from __future__ import annotations
 
@@ -159,22 +158,6 @@ class DerivativeSeries:
         return None
 
     # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: DerivativeSeries) -> DerivativeSeries:
-        if not isinstance(other, DerivativeSeries):
-            return NotImplemented
-        return DerivativeSeries.combination([(ONE, self), (ONE, other)])
-
-    def __sub__(self, other: DerivativeSeries) -> DerivativeSeries:
-        if not isinstance(other, DerivativeSeries):
-            return NotImplemented
-        return DerivativeSeries.combination([(ONE, self), (-ONE, other)])
-
-    def __neg__(self) -> DerivativeSeries:
-        return DerivativeSeries.combination([(-ONE, self)])
-
-    def scaled(self, factor: QF | RationalLike) -> DerivativeSeries:
-        return DerivativeSeries.combination([(factor, self)])
 
     def shift(self, offset: Fraction | int) -> DerivativeSeries:
         """Re-expand the series about x + offset*h (exact Taylor shift).

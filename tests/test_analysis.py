@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -301,14 +302,17 @@ def test_convergence_short_runs_read_ok(periods):
 
 def test_residual_small_grids():
     table = run_residual(RunConfig("dg-p1", (40, 80)))
-    targets = table.meta["targets"]
-    info = targets[("upwind-trace", 0, 0)]
-    n, measured = info["estimates"][-1]
-    assert n == 80
-    assert measured == pytest.approx(-1.0, rel=1e-3)
+    finest = {
+        (cell["mode"], cell["moment"], cell["h_power"]): cell
+        for cell in (dict(zip(table.columns, row)) for row in table.rows)
+        if cell["estimator"] == "grid"
+    }
+    cell = finest[("upwind-trace", 0, 0)]
+    assert cell["N"] == 80
+    assert cell["measured"] == pytest.approx(-1.0, rel=1e-3)
     # degenerate slope coefficient measured as a decaying near-zero
-    zero_info = targets[("upwind-trace", 1, 0)]
-    assert abs(zero_info["estimates"][-1][1]) < 0.01
+    zero_cell = finest[("upwind-trace", 1, 0)]
+    assert zero_cell["N"] == 80 and abs(zero_cell["measured"]) < 0.01
     assert not check_residual(table)
 
 
@@ -376,7 +380,7 @@ def test_residual_richardson_rows_follow_grid_rows(scheme, grids):
     for key, rows in groups.items():
         grid = [(c["N"], c["measured"]) for c in rows["grid"]]
         assert [n for n, _ in grid] == list(grids)
-        assert table.meta["targets"][key]["estimates"] == grid
+        assert table.meta["targets"][key] == {"exact": Fraction(rows["grid"][0]["exact"])}
         want = [(n_f, (4.0 * v_f - v_c) / 3.0) for (_, v_c), (n_f, v_f) in zip(grid, grid[1:])]
         assert [(c["N"], c["measured"]) for c in rows["richardson"]] == want
 
@@ -650,8 +654,24 @@ def _first_degree2_row(table):
     [
         (lambda: run_convergence(RunConfig("dg-p1", (20, 40, 80))), check_convergence,
          lambda table: -1, "l2", lambda l2: 10.0 * l2, "dg-p1: fitted L2 order"),
+        # the fit drops a grid whose l2 is not finite and positive, so the row must fail itself
+        *[
+            (lambda: run_convergence(RunConfig("dg-p1", (20, 40, 80))), check_convergence,
+             lambda table: -1, "l2", lambda l2, bad=bad: bad, f"dg-p1: N=80 l2 error {bad}")
+            for bad in (np.nan, np.inf, 0.0)
+        ],
         (lambda: run_residual(RunConfig("dg-p1", (40, 80))), check_residual,
          _last_nonzero_grid_row, "measured", lambda v: 1.02 * v, "at N=80 (rel err"),
+        (lambda: run_residual(RunConfig("dg-p1", (40, 80))), check_residual,
+         _last_nonzero_grid_row, "measured", lambda v: np.nan, "at N=80 (rel err nan"),
+        (lambda: run_correction((20, 40, 80)), check_correction,
+         lambda table: -1, "measured", lambda v: 1.02 * v, "N=80: coefficient rel err"),
+        (lambda: run_correction((20, 40, 80)), check_correction,
+         lambda table: -1, "measured", lambda v: np.nan, "N=80: coefficient rel err nan"),
+        (lambda: run_correction((20, 40, 80)), check_correction,
+         lambda table: -1, "cmax", lambda c: 1.1 * c, "N=80: max|C| decay ratio 3.6"),
+        (lambda: run_correction((20, 40, 80)), check_correction,
+         lambda table: -1, "cmax", lambda c: np.nan, "N=80: max|C| decay ratio nan"),
         (run_spectrum, check_spectrum,
          lambda table: 700, "re", lambda re: 1e-9, "max Re eigenvalue 1.000e-09 > 1e-12"),
         (run_spectrum, check_spectrum,
@@ -661,8 +681,10 @@ def _first_degree2_row(table):
          _first_degree2_row, "theta", lambda theta: 1e-3, "theta=0 eigenvalues off by inf"),
     ],
     ids=[
-        "convergence-l2", "residual-measured", "spectrum-re", "spectrum-theta-zero",
-        "spectrum-pin-moved",
+        "convergence-l2", "convergence-l2-nan", "convergence-l2-inf", "convergence-l2-zero",
+        "residual-measured", "residual-measured-nan", "correction-measured",
+        "correction-measured-nan", "correction-cmax", "correction-cmax-nan", "spectrum-re",
+        "spectrum-theta-zero", "spectrum-pin-moved",
     ],
 )
 def test_a_row_edit_flips_its_verdict(make, check, pick, column, edit, message):
@@ -676,6 +698,14 @@ def test_a_row_edit_flips_its_verdict(make, check, pick, column, edit, message):
     failures = check(table)
     assert len(failures) == 1 and message in failures[0], failures
 
+
+def test_check_correction_reads_no_derived_column():
+    # rel_err and ratio follow from measured, exact and cmax, so the verdict recomputes them
+    table = run_correction((20, 40, 80))
+    for column, wrong in (("rel_err", 1.0), ("ratio", 2.0)):
+        j = table.columns.index(column)
+        table.rows = [row[:j] + (wrong,) + row[j + 1:] for row in table.rows]
+    assert check_correction(table) == []
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)

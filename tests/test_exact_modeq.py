@@ -330,8 +330,6 @@ def test_update_matrices_realise_the_upwind_weak_form(degree, order):
     moments = basis_moments(degree, order)
     rhs = modified_equation(StencilSpec(degree, UPWIND_TRACE, order))
     for m in range(degree + 1):
-        terms = [
-            moments[n].scaled(a_mat[m][n]) - moments[n].shift(-1).scaled(b_mat[m][n])
-            for n in range(degree + 1)
-        ]
-        assert (-sum(terms[1:], terms[0])).div_h() == rhs[m]
+        terms = [(-a_mat[m][n], moments[n]) for n in range(degree + 1)]
+        terms += [(b_mat[m][n], moments[n].shift(-1)) for n in range(degree + 1)]
+        assert DerivativeSeries.combination(terms).div_h() == rhs[m]

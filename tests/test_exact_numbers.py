@@ -202,6 +202,28 @@ def test_coerce_accepts_int_fraction_qf():
         QF.coerce(0.5)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [0, 1, -7, 2**70, Fraction(-6, 4), Fraction(1, 3), Fraction(0, 5),
+     ("int64", -3), ("int32", 12), ("uint8", 200), True],
+    ids=repr,
+)
+def test_qf_of_one_rational_is_coerce(value):
+    # QF(q) and QF.coerce(q) share one rule and one stored form
+    if isinstance(value, tuple):
+        name, raw = value
+        value = getattr(pytest.importorskip("numpy"), name)(raw)
+    if value is True:
+        for build in (QF, QF.coerce):
+            with pytest.raises(TypeError):
+                build(value)
+        return
+    built, coerced = QF(value), QF.coerce(value)
+    assert built == coerced and built.rational_value() == Fraction(value)
+    assert (built._n, built._den) == (coerced._n, coerced._den)
+    assert all(type(v) is int for v in (*built._n, built._den))
+
+
 def test_hash_agrees_with_eq_for_rationals():
     rng = random.Random(8)
     values = [rng.randint(-10**6, 10**6) for _ in range(500)]
