@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
+from .basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis, modal_basis
 from .dg import rhs_matrix, rhs_weak, symbol, correction_term, update_matrices
 from .exact import (
     EXACT_POINT,
@@ -74,6 +74,9 @@ SPECTRUM_RE_TOL = 1e-12
 #: check_residual and check_correction judge only the finest grids this many deep.
 CHECK_GRIDS = 2
 RESIDUAL_RTOL = 1e-2
+#: A zero target's 'grid' rows must read |measured| N^2 within this band; its
+#: next term, dg-p1's upwind moment 1 at h^0, reads -7.76 to -7.90 h^2.
+RESIDUAL_ZERO_BAND = 10.0
 GROWTH_TOL = 1e-6
 CORRECTION_RTOL = 1e-2
 CORRECTION_RATIO_TOL = 0.1
@@ -480,7 +483,7 @@ def run_residual(config: RunConfig) -> ResultTable:
         )
     degree = DG_DEGREE[config.scheme]
     fits = _residual_fits(degree)
-    basis = ModalBasis(degree)
+    basis = modal_basis(degree)
     per_grid = [_grid_estimates(n, basis, fits) for n in grids]
     table = ResultTable(f"residual_{config.scheme}", _RESIDUAL_COLUMNS)
     targets = table.meta.setdefault("targets", {})
@@ -510,7 +513,11 @@ def run_residual(config: RunConfig) -> ResultTable:
 
 
 def check_residual(table: ResultTable) -> list[str]:
-    """1% relative agreement on the CHECK_GRIDS finest 'grid' rows of every nonzero target."""
+    """Judge the CHECK_GRIDS finest 'grid' rows of every target.
+
+    A nonzero target must agree to RESIDUAL_RTOL relative; a zero target's
+    estimate must fall as h^2, |measured| N^2 <= RESIDUAL_ZERO_BAND.
+    """
     fits: dict[tuple, list] = {}
     names = ("estimator", "mode", "moment", "h_power", "N", "exact", "measured")
     for estimator, mode, m, q, n, exact, measured in zip(*map(table.column, names)):
@@ -519,7 +526,15 @@ def check_residual(table: ResultTable) -> list[str]:
     failures = []
     for (mode, m, q), rows in fits.items():
         for n, exact, measured in rows[-CHECK_GRIDS:]:
-            rel = abs(measured - exact) / abs(exact) if exact else 0.0  # a zero is not judged
+            if not exact:
+                scaled = abs(measured) * n**2
+                if not scaled <= RESIDUAL_ZERO_BAND:
+                    failures.append(
+                        f"{mode} m={m} h^{q}: measured {measured:.6g} vs exact 0 "
+                        f"at N={n} (|measured| N^2 {scaled:.3g} > {RESIDUAL_ZERO_BAND})"
+                    )
+                continue
+            rel = abs(measured - exact) / abs(exact)
             if not rel <= RESIDUAL_RTOL:
                 failures.append(
                     f"{mode} m={m} h^{q}: measured {measured:.6g} vs exact {exact:.6g} "

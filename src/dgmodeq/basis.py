@@ -9,6 +9,7 @@ the one place the float route evaluates a basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,3 +66,9 @@ class ModalBasis:
             object.__setattr__(self, name, _readonly(np.array(table, dtype=float)))
 
     __reduce__ = _rebuilt
+
+
+@lru_cache(maxsize=None, typed=True)
+def modal_basis(degree: int) -> ModalBasis:
+    """The shared ModalBasis of a degree: built once per process, as its tables are read-only."""
+    return ModalBasis(degree)

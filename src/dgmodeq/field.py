@@ -6,7 +6,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
+from .basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis, modal_basis
 from .mesh import Mesh1D, _readonly, _rebuilt
 
 
@@ -56,9 +56,10 @@ def project(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D, degree: int) ->
 
     a_m^j = (integral over cell j of f phi_m) / (integral phi_m^2), with the
     integrals done per cell by the 5-point rule QUAD_NODES, QUAD_WEIGHTS,
-    reading the basis table ModalBasis.phi at those nodes.
+    reading the basis table ModalBasis.phi at those nodes.  Every field of a
+    degree shares one basis (modal_basis).
     """
-    basis = ModalBasis(degree)
+    basis = modal_basis(degree)
     coeffs = (sample_cells(f, mesh) * QUAD_WEIGHTS[None, :]) @ basis.phi / basis.mass[None, :]
     return ModalField(mesh, basis, coeffs)
 

@@ -153,23 +153,24 @@ class Integrator:
         with np.errstate(over="ignore", invalid="ignore"):
             e = _increment(z, coeffs)
             # Every factor is a polynomial in the same z, so they commute.
-            # Starting acc from the short last step after e keeps at most
-            # three (m, m, N//2 + 1) stacks live.
+            # Starting acc from the short last step after e lets z go before
+            # the power loop, which holds four (m, m, N//2 + 1) stacks: e,
+            # acc and _product's out and tmp.
             acc = _increment(z, [c * s**q for q, c in enumerate(coeffs)])
             del z
-            buf = np.empty_like(e)
+            buf, tmp = np.empty_like(e), np.empty_like(e)
             p = n - 1
             while p:
                 if p & 1:  # R_acc <- R_e R_acc
-                    _product(e, acc, buf)
+                    _product(e, acc, buf, tmp)
                     acc += e
                     acc += buf
                 p >>= 1
                 if p:  # R_e <- R_e^2
-                    _product(e, e, buf)
+                    _product(e, e, buf, tmp)
                     e *= 2.0
                     e += buf
-            del e, buf
+            del e, buf, tmp
             modes = np.fft.rfft(state.data.reshape(n_cells, m), axis=0)
             v = modes.T[:, None]  # (m, 1, N//2 + 1) view of modes
             v += _product(acc, v)
@@ -180,18 +181,25 @@ class Integrator:
         return state.with_data(out.reshape(state.data.shape)), n, amp
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _product(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
     """Mode by mode products of mode-last stacks a (m, m, K) and b (m, p, K).
 
-    Row i is sum_j a[i, j] b[j], elementwise over all K modes: no call per
-    matrix.  np.einsum does it in one call but maps 0.1 MiB more numpy code.
+    Column by column: out = sum_j a[:, j] b[j], summed in j order, each
+    term one broadcast multiply over all rows, columns and K modes into tmp
+    (out's shape, allocated when not given), so a product is 1 + 2 (m - 1)
+    numpy calls and no call per matrix.  np.einsum does it in one call but
+    maps more numpy code, which would show in march peak_rss_mb.
     """
     if out is None:
         out = np.empty(a.shape[:1] + b.shape[1:], a.dtype)
-    for i, row in enumerate(out):
-        np.multiply(a[i, 0], b[0], out=row)
-        for j in range(1, len(b)):
-            row += a[i, j] * b[j]
+    np.multiply(a[:, 0, None], b[0], out=out)
+    if len(b) > 1 and tmp is None:
+        tmp = np.empty_like(out)
+    for j in range(1, len(b)):
+        np.multiply(a[:, j, None], b[j], out=tmp)
+        out += tmp
     return out
 
 
@@ -200,12 +208,19 @@ def _increment(z: np.ndarray, coeffs) -> np.ndarray:
 
     coeffs are R's Taylor coefficients c0 = 1, c1, ..., here c_q = 1/q!;
     the constant term never enters, so the result keeps z's relative accuracy.
+    Each Horner product takes one column of its right factor at a time:
+    numpy runs these broadcast multiplies through two buffers of the
+    output's size, so a column keeps them m times smaller than a whole stack.
     """
+    m = len(z)
     e = coeffs[-1] * z
+    tmp = np.empty_like(e[:, :1])
     for c in coeffs[-2:0:-1]:
-        for i in range(len(e)):
-            e[i, i] += c
-        e = _product(z, e)
+        e.reshape(m * m, -1)[:: m + 1] += c  # the m diagonal entries, one strided view
+        ze = np.empty_like(e)
+        for k in range(m):
+            _product(z, e[:, k : k + 1], ze[:, k : k + 1], tmp)
+        e = ze
     return e
 
 

@@ -643,6 +643,11 @@ def _last_nonzero_grid_row(table):
     return max(i for i, c in enumerate(cells) if c["estimator"] == "grid" and c["exact"] != "0")
 
 
+def _last_zero_grid_row(table):
+    cells = [dict(zip(table.columns, row)) for row in table.rows]
+    return max(i for i, c in enumerate(cells) if c["estimator"] == "grid" and c["exact"] == "0")
+
+
 def _first_degree2_row(table):
     index = table.column("degree").index(2)
     assert table.rows[index][1] == 0.0  # theta
@@ -664,6 +669,13 @@ def _first_degree2_row(table):
          _last_nonzero_grid_row, "measured", lambda v: 1.02 * v, "at N=80 (rel err"),
         (lambda: run_residual(RunConfig("dg-p1", (40, 80))), check_residual,
          _last_nonzero_grid_row, "measured", lambda v: np.nan, "at N=80 (rel err nan"),
+        # a zero target is judged too: its estimate must fall as h^2
+        *[
+            (lambda: run_residual(RunConfig("dg-p1", (40, 80))), check_residual,
+             _last_zero_grid_row, "measured", lambda v, bad=bad: bad,
+             f"vs exact 0 at N=80 (|measured| N^2 {text} > 10.0)")
+            for bad, text in ((np.nan, "nan"), (5.0, "3.2e+04"))
+        ],
         (lambda: run_correction((20, 40, 80)), check_correction,
          lambda table: -1, "measured", lambda v: 1.02 * v, "N=80: coefficient rel err"),
         (lambda: run_correction((20, 40, 80)), check_correction,
@@ -682,7 +694,8 @@ def _first_degree2_row(table):
     ],
     ids=[
         "convergence-l2", "convergence-l2-nan", "convergence-l2-inf", "convergence-l2-zero",
-        "residual-measured", "residual-measured-nan", "correction-measured",
+        "residual-measured", "residual-measured-nan", "residual-zero-nan", "residual-zero-5",
+        "correction-measured",
         "correction-measured-nan", "correction-cmax", "correction-cmax-nan", "spectrum-re",
         "spectrum-theta-zero", "spectrum-pin-moved",
     ],

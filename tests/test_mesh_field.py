@@ -282,3 +282,15 @@ def test_basis_tables_at_the_nodes_reproduce_the_exact_integrals(degree):
     assert np.max(np.abs(QUAD_WEIGHTS @ basis.phi**2 - mass)) <= 1e-15 * np.max(np.abs(mass))
     quad_volume = (basis.dphi.T * QUAD_WEIGHTS) @ basis.phi
     assert np.max(np.abs(quad_volume - volume)) <= 1e-15 * np.max(np.abs(volume))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_projections_share_one_basis_per_degree(degree):
+    basis = project(np.sin, Mesh1D(8), degree).basis
+    assert project(np.cos, Mesh1D(16), degree).basis is basis
+    assert basis == ModalBasis(degree)
+    for name in ("mass", "trace_right", "trace_left", "phi", "dphi"):
+        table = getattr(basis, name)
+        assert table.flags.writeable is False
+        with pytest.raises(ValueError):
+            table[0] = 1.0

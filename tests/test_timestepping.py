@@ -21,6 +21,7 @@ from dgmodeq import (
     update_matrices,
 )
 from dgmodeq.analysis import _setup_scheme
+from dgmodeq import timestepping
 from dgmodeq.timestepping import MAX_STEPS, METHODS
 
 
@@ -402,8 +403,10 @@ def test_propagate_amp_matches_decimal_reference(k):
 
 def test_propagate_peak_memory():
     # 280 KiB sits just above the 274 KiB peak of the real 2m x 2m embedding
-    # that the mode-last kernel replaced (dg-p2, N=640, numpy 2.4.6; the
-    # mode-last kernel peaks at 213 KiB); faster must not mean larger.
+    # that the mode-last kernel replaced (dg-p2, N=640, numpy 2.4.6); faster
+    # must not mean larger.  The column-by-column product peaks at 273 KiB
+    # (the row-by-row one at 213 KiB): its power loop holds a fourth stack,
+    # the product temporary.
     state, stencil, _ = _setup_scheme("dg-p2", initial_condition("sine"), Mesh1D(640))
     integ = Integrator()
     integ.propagate(state, stencil)  # first-call numpy state is not the kernel's
@@ -420,3 +423,54 @@ def test_propagate_peak_memory():
             tracemalloc.stop()
     assert result[1] == 6400
     assert peak <= 280 * 1024
+
+
+def _row_product(a, b, out=None, tmp=None):
+    """The row-by-row product that _product's column form must match bit for bit."""
+    if out is None:
+        out = np.empty(a.shape[:1] + b.shape[1:], a.dtype)
+    for i, row in enumerate(out):
+        np.multiply(a[i, 0], b[0], out=row)
+        for j in range(1, len(b)):
+            row += a[i, j] * b[j]
+    return out
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint8)
+
+
+@pytest.mark.parametrize("m, n_cols", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3)])
+def test_product_keeps_the_row_formula_bits(m, n_cols):
+    rng = np.random.default_rng(10 * m + n_cols)
+
+    def stack(*shape):
+        x = rng.standard_normal(shape + (37,)) + 1j * rng.standard_normal(shape + (37,))
+        flat = x.reshape(-1)
+        for value in (np.inf, -np.inf, np.nan, complex(np.inf, 1.0), complex(0.0, np.nan)):
+            flat[rng.integers(flat.size)] = value
+        return x
+
+    a, b = stack(m, m), stack(m, n_cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _row_product(a, b)
+        assert np.array_equal(_bits(timestepping._product(a, b)), _bits(expected))
+        out, tmp = np.empty_like(expected), np.empty_like(expected)
+        timestepping._product(a, b, out, tmp)
+        assert np.array_equal(_bits(out), _bits(expected))
+        if n_cols == m:  # squaring reads one stack as both factors
+            assert np.array_equal(_bits(timestepping._product(a, a)), _bits(_row_product(a, a)))
+
+
+@pytest.mark.parametrize("n_cells", [40, 640])
+def test_propagate_keeps_the_row_product_bits(monkeypatch, n_cells):
+    integ = Integrator()
+    for scheme in SCHEMES:
+        state, stencil, _ = _setup_scheme(scheme, initial_condition("sine"), Mesh1D(n_cells))
+        column = integ.propagate(state, stencil)
+        with monkeypatch.context() as patch:
+            patch.setattr(timestepping, "_product", _row_product)
+            row = integ.propagate(state, stencil)
+        assert column[1] == row[1]
+        assert column[0].data.tobytes() == row[0].data.tobytes(), scheme
+        assert column[2].tobytes() == row[2].tobytes(), scheme
