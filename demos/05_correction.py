@@ -9,14 +9,15 @@ and the exact series says C = (1/96) u'''' h^2 + O(h^4). Here we build
 C from pointwise samples of a sine, fit the leading coefficient, and
 watch max|C| drop 4x per grid doubling.
 """
-from dgmodeq import run_correction
+from dgmodeq import correction_series, run_correction
 
 
 def main():
     table = run_correction((20, 40, 80, 160, 320))
     print(table.format_text())
     print()
-    print(f"exact coefficient {table.meta['exact_fraction']} = {float(table.meta['exact_fraction']):.8f}")
+    exact = correction_series().leading()[1].rational_value()
+    print(f"exact coefficient {exact} = {float(exact):.8f}")
     print("the fitted value converges to it quadratically and the defect's")
     print("amplitude quarters per doubling: an honest O(h^2) term, nothing more.")
 

@@ -20,7 +20,6 @@ from .analysis import (
     run_correction,
     run_residual,
     run_spectrum,
-    taylor_statements,
 )
 from .basis import ModalBasis
 from .dg import (
@@ -38,6 +37,7 @@ from .exact import (
     basis_moments,
     correction_series,
     moment_evolution_laws,
+    taylor_statements,
     update_matrices_exact,
 )
 from .field import ModalField, error_norms, project

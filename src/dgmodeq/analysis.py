@@ -43,6 +43,7 @@ from .exact import (
     moment_leading_scale,
 )
 from .exact.basis import check_degree
+from .exact.modeq import derivative_name
 from .exact.numbers import check_finite, checked_int
 from .field import ModalField, Norms, error_norms, project
 from .fv import average_error_norms, fv_stencil, project_averages
@@ -392,10 +393,6 @@ _RESIDUAL_COLUMNS = (
 )
 
 
-def _deriv_name(order: int) -> str:
-    return "u_" + "x" * order
-
-
 def _sine_projection(mesh: Mesh1D, basis: ModalBasis) -> tuple[ModalField, tuple]:
     """project(_sine, mesh, basis.degree) by separation, and its columns sin, cos(2 pi x_j).
 
@@ -501,7 +498,7 @@ def run_residual(config: RunConfig) -> ResultTable:
                     estimator=estimator,
                     N=n,
                     dx=1.0 / n,
-                    target=_deriv_name(order),
+                    target=derivative_name(order),
                     h_power=q,
                     exact=str(exact_coeff),
                     measured=measured,
@@ -693,68 +690,4 @@ def check_correction(table: ResultTable) -> list[str]:
     for n, ratio in ratios:
         if not abs(ratio - 4.0) <= CORRECTION_RATIO_TOL:
             failures.append(f"N={n}: max|C| decay ratio {ratio:.3f} not within 4.0 +- 0.1")
-    return failures
-
-
-# ----------------------------------------------------------------------
-# exact statements for the CLI
-
-
-def taylor_statements() -> list[str]:
-    """Rendered evolution laws for every degree, mode and moment."""
-    lines = []
-    for degree in (1, 2):
-        for mode in (UPWIND_TRACE, EXACT_POINT):
-            label = "upwind" if mode == UPWIND_TRACE else "exact"
-            for law in moment_evolution_laws(StencilSpec(degree, mode)):
-                lines.append(f"k={degree} {label} a{law.moment}: {law.statement()}")
-    series = correction_series()
-    lead = series.leading()
-    assert lead is not None
-    p, c = lead
-    lines.append(
-        f"correction: C = ({c.rational_value()})*h^{series.h_power(p)}*{_deriv_name(p)}"
-        f" + O(h^{series.h_power(p) + 2})"
-    )
-    return lines
-
-
-#: Frozen h-power coefficients of the exact laws, keyed by (degree, mode, moment).
-_FROZEN_LAWS = {
-    (1, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(1, 24)},
-    (1, UPWIND_TRACE, 1): {0: Fraction(0), 1: Fraction(-2, 5)},
-    (1, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
-    (1, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
-    (2, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
-    (2, UPWIND_TRACE, 1): {0: Fraction(-1), 1: Fraction(1, 10)},
-    (2, UPWIND_TRACE, 2): {0: Fraction(-1), 1: Fraction(1, 2)},
-    (2, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
-    (2, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
-    (2, EXACT_POINT, 2): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 56)},
-}
-
-
-def check_taylor() -> list[str]:
-    """Exact evolution laws and the correction series against frozen values."""
-    laws = {}
-    for degree in (1, 2):
-        for mode in MODES:
-            for law in moment_evolution_laws(StencilSpec(degree, mode)):
-                laws[(degree, mode, law.moment)] = law
-    failures = []
-    for key, wanted in _FROZEN_LAWS.items():
-        law = laws[key]
-        for h_power, want in wanted.items():
-            got = law.coefficient(h_power)
-            if got != want:
-                failures.append(
-                    f"k={key[0]} {key[1]} a{key[2]}: h^{h_power} coefficient {got}, expected {want}"
-                )
-    statement = laws[(1, UPWIND_TRACE, 1)].statement()
-    wanted_statement = "u_xt = 0*u_xx + (-2/5)*h*u_xxx + O(h^2)"
-    if statement != wanted_statement:
-        failures.append(f"degenerate first-moment law renders as {statement!r}")
-    lead = correction_series().leading()
-    if lead is None or lead[0] != 4 or lead[1].rational_value() != Fraction(1, 96):
-        failures.append(f"correction series leads with {lead}, expected h^2 coefficient 1/96")
     return failures

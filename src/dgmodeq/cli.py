@@ -38,7 +38,6 @@ from .analysis import (
     check_correction,
     check_residual,
     check_spectrum,
-    check_taylor,
     fitted_l2_orders,
     initial_condition,
     run_compare,
@@ -47,8 +46,8 @@ from .analysis import (
     run_residual,
     run_spectrum,
     spectrum_by_degree,
-    taylor_statements,
 )
+from .exact import check_taylor, correction_series, taylor_statements
 from .timestepping import METHODS
 
 #: fv1 is the P0 DG stencil {0: -1, -1: 1}, so its spectrum is degree 0's.
@@ -164,7 +163,7 @@ def _spectrum(given: dict):
 def _correction(given: dict):
     table = run_correction(**given)
     print(table.format_text())
-    print(f"exact leading coefficient: {table.meta['exact_fraction']}")
+    print(f"exact leading coefficient: {correction_series().leading()[1].rational_value()}")
     return table, "correction defect matches its leading term"
 
 

@@ -1,5 +1,5 @@
-"""Exact-arithmetic layer: quadratic-field numbers, derivative series, and
-the modified-equation engine for the modal updates."""
+"""Exact-arithmetic layer: quadratic-field numbers, derivative series, the
+modified-equation engine for the modal updates, and its frozen claims."""
 from .numbers import QF
 from .series import DerivativeSeries
 from .basis import update_matrices_exact
@@ -11,10 +11,12 @@ from .modeq import (
     ModifiedPDE,
     StencilSpec,
     basis_moments,
+    check_taylor,
     correction_series,
     modified_equation,
     moment_evolution_laws,
     moment_leading_scale,
+    taylor_statements,
 )
 
 __all__ = [
@@ -32,4 +34,6 @@ __all__ = [
     "moment_evolution_laws",
     "moment_leading_scale",
     "correction_series",
+    "taylor_statements",
+    "check_taylor",
 ]

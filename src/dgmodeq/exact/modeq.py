@@ -17,6 +17,8 @@ rounded away.
 
 Laws, moment series and the correction series are derived once per process
 and cached; the public functions hand each caller a fresh list.
+taylor_statements renders the lines `dgmodeq taylor` prints, and
+check_taylor holds the laws and the series to frozen values.
 """
 from __future__ import annotations
 
@@ -48,6 +50,11 @@ DEFAULT_ORDER = 8
 #: The stencil algebra below needs at least this much headroom to expose
 #: the leading error term of every moment at degree <= 2.
 MIN_ORDER = 5
+
+
+def derivative_name(order: int) -> str:
+    """'u_' then order x's: how laws, the correction line and residual tables name u^(order)."""
+    return "u_" + "x" * order
 
 
 class DerivationError(ValueError):
@@ -142,14 +149,13 @@ class ModifiedPDE:
     def statement(self, n_terms: int = 2) -> str:
         """Render e.g. 'u_xt = 0*u_xx + (-2/5)*h*u_xxx + O(h^2)'."""
         n_terms = min(n_terms, len(self.coeffs))
-        lhs = "u_" + "x" * self.moment + "t"
         parts = []
         for q in range(n_terms):
             coeff = self.coeffs[q]
             coeff_txt = str(coeff) if coeff >= 0 and coeff.denominator == 1 else f"({coeff})"
             h_txt = "" if q == 0 else ("h*" if q == 1 else f"h^{q}*")
-            parts.append(f"{coeff_txt}*{h_txt}u_" + "x" * self.derivative_order(q))
-        return f"{lhs} = " + " + ".join(parts) + f" + O(h^{n_terms})"
+            parts.append(f"{coeff_txt}*{h_txt}{derivative_name(self.derivative_order(q))}")
+        return f"{derivative_name(self.moment)}t = " + " + ".join(parts) + f" + O(h^{n_terms})"
 
 
 def moment_leading_scale(degree: int, m: int) -> QF:
@@ -223,3 +229,62 @@ def _correction_series(order: int) -> DerivativeSeries:
     half_uxx = DerivativeSeries([0, 0, Fraction(1, 2)] + [0] * (order - 2))
     up, down = unit.shift(Fraction(1, 2)), unit.shift(Fraction(-1, 2))
     return DerivativeSeries.combination([(2, up), (2, down), (-4, unit), (-1, half_uxx)]).div_h(2)
+
+
+# ----------------------------------------------------------------------
+# the exact claims that `dgmodeq taylor` prints and asserts
+
+
+def taylor_statements() -> list[str]:
+    """Rendered evolution laws for every degree, mode and moment."""
+    lines = []
+    for degree in (1, 2):
+        for mode in MODES:
+            label = "upwind" if mode == UPWIND_TRACE else "exact"
+            for law in moment_evolution_laws(StencilSpec(degree, mode)):
+                lines.append(f"k={degree} {label} a{law.moment}: {law.statement()}")
+    series = correction_series()
+    lead = series.leading()
+    assert lead is not None
+    p, c = lead
+    lines.append(
+        f"correction: C = ({c.rational_value()})*h^{series.h_power(p)}*{derivative_name(p)}"
+        f" + O(h^{series.h_power(p) + 2})"
+    )
+    return lines
+
+
+#: Frozen h-power coefficients of the exact laws, keyed by (degree, mode, moment).
+_FROZEN_LAWS = {
+    (1, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(1, 24)},
+    (1, UPWIND_TRACE, 1): {0: Fraction(0), 1: Fraction(-2, 5)},
+    (1, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
+    (1, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
+    (2, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
+    (2, UPWIND_TRACE, 1): {0: Fraction(-1), 1: Fraction(1, 10)},
+    (2, UPWIND_TRACE, 2): {0: Fraction(-1), 1: Fraction(1, 2)},
+    (2, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
+    (2, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
+    (2, EXACT_POINT, 2): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 56)},
+}
+
+
+def check_taylor() -> list[str]:
+    """Exact evolution laws and the correction series against frozen values."""
+    failures = []
+    for (degree, mode, m), wanted in _FROZEN_LAWS.items():
+        law = moment_evolution_laws(StencilSpec(degree, mode))[m]
+        for h_power, want in wanted.items():
+            got = law.coefficient(h_power)
+            if got != want:
+                failures.append(
+                    f"k={degree} {mode} a{m}: h^{h_power} coefficient {got}, expected {want}"
+                )
+    statement = moment_evolution_laws(StencilSpec(1, UPWIND_TRACE))[1].statement()
+    wanted_statement = "u_xt = 0*u_xx + (-2/5)*h*u_xxx + O(h^2)"
+    if statement != wanted_statement:
+        failures.append(f"degenerate first-moment law renders as {statement!r}")
+    lead = correction_series().leading()
+    if lead is None or lead[0] != 4 or lead[1].rational_value() != Fraction(1, 96):
+        failures.append(f"correction series leads with {lead}, expected h^2 coefficient 1/96")
+    return failures

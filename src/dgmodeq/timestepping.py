@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, TypeVar
 
 import numpy as np
 
 from .exact.numbers import check_finite
-from .mesh import Mesh1D, Stencil
+from .mesh import Stencil
 
 #: Shu-Osher rows (a, b) of each method: from y_0 = y, stage i is
 #: y_i = a y + b (y_{i-1} + dt L y_{i-1}), and the last is the step.
@@ -45,19 +44,6 @@ METHODS = tuple(STAGES)
 
 #: Longest schedule counted: at 1e13 steps the count's slack is 0.02 step.
 MAX_STEPS = 1e13
-
-
-class FieldLike(Protocol):
-    @property
-    def data(self) -> np.ndarray: ...
-
-    @property
-    def mesh(self) -> Mesh1D: ...
-
-    def with_data(self, arr: np.ndarray) -> "FieldLike": ...
-
-
-S = TypeVar("S", bound=FieldLike)
 
 
 @dataclass(frozen=True)
@@ -94,14 +80,14 @@ class Integrator:
         n = max(int(q > 0), math.ceil(q - (1e-9 + 8.0 * math.ulp(1.0) * q)))
         return n, dt, self.t_final - max(n - 1, 0) * dt
 
-    def step(self, state: S, stencil: Stencil, dt: float) -> S:
+    def step(self, state, stencil: Stencil, dt: float):
         """One step: one stencil.apply per row of STAGES[method]."""
         y, stage = state.data, state
         for a, b in STAGES[self.method]:
             stage = state.with_data(a * y + b * (stage.data + dt * stencil.apply(stage).data))
         return stage
 
-    def integrate(self, state: S, stencil: Stencil) -> tuple[S, int]:
+    def integrate(self, state, stencil: Stencil) -> tuple:
         """March to t_final; returns (final state, number of steps taken).
 
         Aborts with RuntimeError naming the step index if the state stops
@@ -118,7 +104,7 @@ class Integrator:
                     raise _unstable(i + 1, i * dt + h)
         return state, n
 
-    def propagate(self, state: S, stencil: Stencil) -> tuple[S, int, np.ndarray]:
+    def propagate(self, state, stencil: Stencil) -> tuple:
         """Same result as integrate(state, stencil), by Fourier modes.
 
         The rfft of the state along cells splits it into modes

@@ -36,12 +36,11 @@ from dgmodeq.analysis import (
     check_correction,
     check_residual,
     check_spectrum,
-    check_taylor,
 )
 from dgmodeq.basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
 from dgmodeq.cli import build_parser, main, parse_config_file
 from dgmodeq.dg import rhs_matrix, rhs_weak, symbol
-from dgmodeq.exact import UPWIND_TRACE, moment_leading_scale
+from dgmodeq.exact import UPWIND_TRACE, check_taylor, moment_leading_scale
 from dgmodeq.field import ModalField, project
 from dgmodeq.mesh import Mesh1D
 

@@ -5,13 +5,13 @@ hand from the update stencils and once by an independent computer-algebra
 session expanding the same weak forms. The engine under test shares no code
 with either derivation.
 """
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
 from dgmodeq import cli
-from dgmodeq.analysis import check_taylor
-from dgmodeq.exact import basis, modeq
+from dgmodeq.exact import basis, check_taylor, modeq
 from dgmodeq.exact import (
     EXACT_POINT,
     UPWIND_TRACE,
@@ -293,6 +293,46 @@ def test_taylor_assert_derives_each_law_once(capsys):
     assert cli.main(["taylor", "--assert"]) == 0, capsys.readouterr()
     assert modeq._evolution_laws.cache_info().misses == 4
     assert modeq._correction_series.cache_info().misses == 1
+
+
+# each fault patches one name that check_taylor reads from modeq at call time
+
+
+def _law_off_at_h2(monkeypatch):
+    derive = modeq.moment_evolution_laws
+
+    def laws(spec):
+        out = derive(spec)
+        if (spec.degree, spec.mode) == (2, EXACT_POINT):
+            c = out[2].coeffs
+            out[2] = dataclasses.replace(out[2], coeffs=c[:2] + (c[2] + 1,) + c[3:])
+        return out
+
+    monkeypatch.setattr(modeq, "moment_evolution_laws", laws)
+
+
+def _primed_derivative_names(monkeypatch):
+    monkeypatch.setattr(modeq, "derivative_name", lambda order: "u" + "'" * order)
+
+
+def _correction_leading_1_48(monkeypatch):
+    doubled = DerivativeSeries.combination([(2, correction_series())])
+    monkeypatch.setattr(modeq, "correction_series", lambda: doubled)
+
+
+@pytest.mark.parametrize("fault, failure", [
+    (_law_off_at_h2, "k=2 exact-point a2: h^2 coefficient 55/56, expected -1/56"),
+    (_primed_derivative_names,
+     "degenerate first-moment law renders as \"u't = 0*u'' + (-2/5)*h*u''' + O(h^2)\""),
+    (_correction_leading_1_48, "correction series leads with (4, QF(Fraction(1, 48), "),
+])
+def test_check_taylor_reports_each_fault_once(monkeypatch, capsys, fault, failure):
+    fault(monkeypatch)
+    failures = check_taylor()
+    assert len(failures) == 1 and failures[0].startswith(failure), failures
+    assert cli.main(["taylor", "--assert"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith(("FAIL", "PASS"))] == [f"FAIL: {failures[0]}"]
 
 
 # ----------------------------------------------------------------------
