@@ -61,16 +61,23 @@ def _parse_grids(text: str) -> tuple[int, ...]:
         raise ValueError(f"grids must be comma separated integers, got {text!r}") from exc
 
 
+def _parse_out(text: str) -> str:
+    if not text:  # "" would write the CSV into the working directory
+        raise ValueError("out must name a directory, got ''")
+    return text
+
+
 #: Every setting a subcommand can read: the parser of its value (a config
 #: file's text, or the flag's value) and the keywords of its flag.
 _SETTINGS = {
-    "scheme": (str, {"choices": SCHEMES, "help": "spatial scheme (default dg-p1; spectrum: all)"}),
+    "scheme": (str, {"choices": SCHEMES, "help": "spatial scheme (default dg-p1); spectrum takes"
+                     " dg-p1, dg-p2 or fv1, and covers all degrees when left out"}),
     "grids": (_parse_grids, {"help": "comma separated cell counts, e.g. 20,40,80"}),
     "cfl": (float, {"type": float, "help": "time step per cell width (default 0.1)"}),
     "periods": (float, {"type": float, "help": "number of domain traversals (default 1)"}),
     "ic": (str, {"help": "initial profile: sine, gauss:SIGMA or step"}),
     "integrator": (str, {"choices": METHODS, "help": "time stepper (default ssprk3)"}),
-    "out": (str, {"help": "directory for CSV output"}),
+    "out": (_parse_out, {"help": "directory for CSV output"}),
 }
 
 

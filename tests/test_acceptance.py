@@ -13,27 +13,26 @@ import pytest
 from dgmodeq import (
     EXACT_POINT,
     UPWIND_TRACE,
-    QF,
     Integrator,
     Mesh1D,
-    ModalBasis,
-    ModalField,
     RunConfig,
     StencilSpec,
     basis_moments,
     correction_series,
     moment_evolution_laws,
     project,
-    rhs_matrix,
     rhs_weak,
     run_correction,
     run_residual,
     run_spectrum,
     update_matrices,
-    update_matrices_exact,
 )
 from dgmodeq.analysis import fitted_l2_orders, run_convergence
+from dgmodeq.basis import ModalBasis
 from dgmodeq.cli import main
+from dgmodeq.dg import rhs_matrix
+from dgmodeq.exact import QF, update_matrices_exact
+from dgmodeq.field import ModalField
 
 
 def R(p, q=1):

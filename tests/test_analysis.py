@@ -1,6 +1,7 @@
 """Study drivers and the command line wrapper around them."""
 import argparse
 import dataclasses
+import importlib
 import os
 import subprocess
 import sys
@@ -13,11 +14,8 @@ import pytest
 
 import dgmodeq
 from dgmodeq import (
-    SCHEMES,
     RunConfig,
-    exact_solution,
     fitted_l2_orders,
-    initial_condition,
     run_compare,
     run_convergence,
     run_correction,
@@ -26,6 +24,7 @@ from dgmodeq import (
 )
 from dgmodeq.analysis import (
     FIT_GRIDS,
+    SCHEMES,
     ResultTable,
     _sine,
     _sine_projection,
@@ -36,6 +35,8 @@ from dgmodeq.analysis import (
     check_correction,
     check_residual,
     check_spectrum,
+    exact_solution,
+    initial_condition,
 )
 from dgmodeq.basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
 from dgmodeq.cli import build_parser, main, parse_config_file
@@ -841,6 +842,41 @@ def test_cli_unknown_config_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_cli_config_line_without_equals(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("scheme dg-p2\n")
+    assert main(["convergence", "--config", str(cfg)]) == 2
+    assert f"{cfg}:1: expected key=value" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_integer_grid(capsys):
+    assert main(["convergence", "--grids", "20,x"]) == 2
+    assert "comma separated integers" in capsys.readouterr().err
+
+
+def test_cli_spectrum_rejects_multi_stencil_scheme(capsys):
+    assert main(["spectrum", "--scheme", "fv2-central"]) == 2
+    err = capsys.readouterr().err
+    assert "dg-p1, dg-p2, fv1" in err and "'fv2-central'" in err
+
+
+@pytest.mark.parametrize("argv", [["--out", ""], ["--config", "study.cfg"]], ids=["flag", "key"])
+def test_cli_empty_out_refused(argv, tmp_path, monkeypatch, capsys):
+    # "" used to print `wrote correction.csv` into the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "study.cfg").write_text("out =\n")
+    assert main(["correction", *argv]) == 2
+    assert "out must name a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["study.cfg"]
+
+
+def test_add_row_refuses_unknown_column():
+    table = ResultTable("t", ("N", "l2"))
+    with pytest.raises(ValueError, match=r"unknown columns \['linf'\]"):
+        table.add_row(N=10, linf=0.5)
+    assert table.rows == []
+
+
 # What each subcommand reads; every other study flag must be refused.
 CLI_READS = {
     "convergence": ("scheme", "grids", "cfl", "periods", "ic", "integrator", "out", "config"),
@@ -912,6 +948,37 @@ def test_export_list_resolves(module):
     # a stale name breaks only `from dgmodeq import *`, which nothing else runs
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+# The top level keeps only what the README, the demos or the benchmark import.
+TOP_LEVEL = {
+    "EXACT_POINT", "UPWIND_TRACE", "Integrator", "Mesh1D", "RunConfig", "StencilSpec",
+    "basis_moments", "check_convergence", "check_correction", "check_residual",
+    "check_spectrum", "correction_series", "fitted_l2_orders", "moment_evolution_laws",
+    "project", "rhs_weak", "run_compare", "run_convergence", "run_correction",
+    "run_residual", "run_spectrum", "symbol", "taylor_statements", "update_matrices",
+    "__version__",
+}
+MODULE_ONLY = [
+    ("analysis", "SCHEMES"), ("analysis", "exact_solution"), ("analysis", "initial_condition"),
+    ("exact", "QF"), ("exact", "update_matrices_exact"), ("basis", "ModalBasis"),
+    ("field", "ModalField"), ("field", "error_norms"), ("mesh", "Stencil"),
+    ("fv", "AverageField"), ("fv", "average_error_norms"), ("fv", "fv_stencil"),
+    ("fv", "project_averages"), ("fv", "rhs_fv1"), ("fv", "rhs_fv2"),
+    ("dg", "correction_term"), ("dg", "rhs_matrix"),
+]
+
+
+def test_top_level_exports():
+    assert len(dgmodeq.__all__) == len(TOP_LEVEL)
+    assert set(dgmodeq.__all__) == TOP_LEVEL
+
+
+@pytest.mark.parametrize("module, name", MODULE_ONLY, ids=[f"{m}.{n}" for m, n in MODULE_ONLY])
+def test_name_lives_only_in_its_module(module, name):
+    with pytest.raises(AttributeError):
+        getattr(dgmodeq, name)
+    assert hasattr(importlib.import_module(f"dgmodeq.{module}"), name)
 
 
 def test_import_does_not_load_cli():

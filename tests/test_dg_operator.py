@@ -2,19 +2,10 @@
 import numpy as np
 import pytest
 
-from dgmodeq.basis import QUAD_WEIGHTS
-
-from dgmodeq import (
-    Mesh1D,
-    ModalBasis,
-    ModalField,
-    correction_term,
-    project,
-    rhs_matrix,
-    rhs_weak,
-    symbol,
-    update_matrices,
-)
+from dgmodeq import Mesh1D, project, rhs_weak, symbol, update_matrices
+from dgmodeq.basis import QUAD_WEIGHTS, ModalBasis
+from dgmodeq.dg import correction_term, rhs_matrix
+from dgmodeq.field import ModalField
 
 SQ3 = np.sqrt(3.0)
 SQ5 = np.sqrt(5.0)

@@ -10,6 +10,7 @@ import pytest
 
 from dgmodeq.basis import ModalBasis
 from dgmodeq.exact import QF, UPWIND_TRACE, StencilSpec, update_matrices_exact
+from dgmodeq.exact import basis as exact_basis
 from dgmodeq.exact.basis import (
     MAX_DEGREE,
     basis_polynomials,
@@ -189,6 +190,17 @@ def test_warm_cache_still_rejects_equal_degrees(name):
     for degree in (True, 1.0):
         with pytest.raises(ValueError, match="degree"):
             fn(degree, *rest)
+
+
+def test_non_orthogonal_basis_is_refused(monkeypatch):
+    # the mass matrix is kept as its diagonal only because the bases are orthogonal
+    monkeypatch.setitem(exact_basis._BASIS_POLYS, 1, ((QF(1),), (QF(1), QF(1))))
+    mass_diagonal.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="basis functions 0,1 are not orthogonal"):
+            mass_diagonal(1)
+    finally:
+        mass_diagonal.cache_clear()
 
 
 @pytest.mark.parametrize("side", [True, 1.0, 0, 2, "1"], ids=repr)

@@ -6,6 +6,7 @@ session expanding the same weak forms. The engine under test shares no code
 with either derivation.
 """
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -333,6 +334,43 @@ def test_check_taylor_reports_each_fault_once(monkeypatch, capsys, fault, failur
     assert cli.main(["taylor", "--assert"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith(("FAIL", "PASS"))] == [f"FAIL: {failures[0]}"]
+
+
+# ----------------------------------------------------------------------
+# the derivation refuses input that would falsify it
+
+
+@pytest.fixture
+def fresh_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def test_coefficient_beyond_truncation():
+    law = moment_evolution_laws(StencilSpec(1, UPWIND_TRACE, 5))[0]
+    assert law.coefficient(len(law.coeffs) - 1) == law.coeffs[-1]
+    with pytest.raises(IndexError, match=f"beyond derived order {len(law.coeffs) - 1}"):
+        law.coefficient(len(law.coeffs))
+
+
+def test_zero_leading_scale_is_refused(monkeypatch):
+    zero = (DerivativeSeries([0] * 9),) * 2
+    monkeypatch.setattr(modeq, "_basis_moments", lambda degree, order: zero)
+    with pytest.raises(DerivationError, match="moment 1 of degree-1 basis has no leading term"):
+        moment_leading_scale(1, 1)
+
+
+@pytest.mark.parametrize("series, error, message", [
+    (DerivativeSeries([0, 1], h_shift=0), ValueError, "expected h_shift -1 from the stencil, got 0"),
+    (DerivativeSeries([1, 1], h_shift=-1), DerivationError, "u^(0) term survives below h^0"),
+    (DerivativeSeries([0, QF(0, 1)], h_shift=-1), DerivationError,
+     "irrational coefficient sqrt(3) at h^0"),
+], ids=["h_shift", "below-h0", "surd"])
+def test_broken_evolution_series_is_refused(monkeypatch, fresh_caches, series, error, message):
+    monkeypatch.setattr(modeq, "modified_equation", lambda spec: [series])
+    with pytest.raises(error, match=re.escape(message)):
+        moment_evolution_laws(StencilSpec(0, UPWIND_TRACE))
 
 
 # ----------------------------------------------------------------------

@@ -155,6 +155,8 @@ def test_str_forms():
     assert str(SQRT3) == "sqrt(3)"
     assert str(R(-1, 6) * SQRT5) == "-1/6*sqrt(5)"
     assert str(ZERO) == "0"
+    assert str(QF(0, -1)) == "-sqrt(3)"
+    assert str(QF(1, 0, -2)) == "1 - 2*sqrt(5)"
 
 
 def test_hash_consistent_with_eq():

@@ -88,6 +88,11 @@ def test_div_h_only_moves_bookkeeping():
     assert a.h_power(2) == 2
 
 
+def test_series_needs_a_coefficient():
+    with pytest.raises(ValueError, match="at least the p=0 coefficient"):
+        DerivativeSeries([])
+
+
 def test_truncation_is_strict():
     a = DerivativeSeries.unit(3)
     with pytest.raises(IndexError, match="beyond truncation order 3"):

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from dgmodeq import (
+from dgmodeq import Mesh1D
+from dgmodeq.fv import (
     AverageField,
-    Mesh1D,
     average_error_norms,
     project_averages,
     rhs_fv1,

@@ -5,20 +5,11 @@ import pickle
 import numpy as np
 import pytest
 
-from dgmodeq import (
-    AverageField,
-    Mesh1D,
-    ModalBasis,
-    ModalField,
-    average_error_norms,
-    error_norms,
-    fv_stencil,
-    project,
-    project_averages,
-)
-from dgmodeq.basis import QUAD_NODES, QUAD_WEIGHTS
+from dgmodeq import Mesh1D, project
+from dgmodeq.basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
 from dgmodeq.exact import basis as exact_basis
-from dgmodeq.field import sample_cells
+from dgmodeq.field import ModalField, error_norms, sample_cells
+from dgmodeq.fv import AverageField, average_error_norms, fv_stencil, project_averages
 
 
 def test_mesh_geometry():

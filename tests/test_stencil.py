@@ -4,19 +4,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dgmodeq import (
-    SCHEMES,
-    AverageField,
-    Mesh1D,
-    ModalBasis,
-    ModalField,
-    initial_condition,
-    update_matrices,
-)
-from dgmodeq.analysis import _setup_scheme
+from dgmodeq import Mesh1D, update_matrices
+from dgmodeq.analysis import SCHEMES, _setup_scheme, initial_condition
+from dgmodeq.basis import ModalBasis
 from dgmodeq.exact import update_matrices_exact
 from dgmodeq.exact.basis import mass_diagonal, trace_vector
-from dgmodeq.fv import fv_stencil
+from dgmodeq.field import ModalField
+from dgmodeq.fv import AverageField, fv_stencil
 from dgmodeq.mesh import Stencil
 
 

@@ -9,19 +9,17 @@ import numpy as np
 import pytest
 
 from dgmodeq import (
-    SCHEMES,
     Integrator,
     Mesh1D,
     RunConfig,
-    Stencil,
-    error_norms,
-    initial_condition,
     project,
     run_convergence,
     update_matrices,
 )
-from dgmodeq.analysis import _setup_scheme
+from dgmodeq.analysis import SCHEMES, _setup_scheme, initial_condition
 from dgmodeq import timestepping
+from dgmodeq.field import error_norms
+from dgmodeq.mesh import Stencil
 from dgmodeq.timestepping import MAX_STEPS, METHODS
 
 
