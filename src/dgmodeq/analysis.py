@@ -21,7 +21,6 @@ where the energy-norm growth is 2.2e-4 (N=20) to 5.2e-3 (N=320).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, groupby, islice
 from math import inf, isfinite, isnan, nan
@@ -50,11 +49,9 @@ from .fv import average_error_norms, fv_stencil, project_averages
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap them where it wraps the others.
 from .fv import rhs_fv1, rhs_fv2  # noqa: F401
-from .mesh import Mesh1D
-from .timestepping import METHODS, Integrator
-
-SCHEMES = ("dg-p1", "dg-p2", "fv1", "fv2-central", "fv2-upwind")
-DG_DEGREE = {"dg-p1": 1, "dg-p2": 2}
+from .mesh import Frozen, Mesh1D
+from .schemes import DG_DEGREE, METHODS, SCHEMES
+from .timestepping import Integrator
 
 #: Acceptance bands for the fitted L2 convergence order of each scheme.
 EOC_BANDS = {
@@ -87,12 +84,11 @@ CORRECTION_RATIO_TOL = 0.1
 # initial data
 
 
-@dataclass(frozen=True)
-class InitialCondition:
+class InitialCondition(Frozen):
     """A periodic initial profile and whether it is smooth."""
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    smooth: bool
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], smooth: bool) -> None:
+        vars(self).update(fn=fn, smooth=smooth)
 
 
 def _sine(x: np.ndarray) -> np.ndarray:
@@ -161,26 +157,29 @@ def _doubling_grids(grids: Sequence[int]) -> tuple[int, ...]:
     return grids
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """One study configuration; fully determines every output byte."""
 
-    scheme: str = "dg-p1"
-    grids: tuple[int, ...] = DEFAULT_GRIDS
-    cfl: float = 0.1
-    periods: float = 1.0
-    ic: str = "sine"
-    integrator: str = "ssprk3"
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        object.__setattr__(self, "grids", _checked_grids(self.grids))
-        check_finite(self.cfl, "cfl")
-        check_finite(self.periods, "periods", zero_ok=True)
-        if self.integrator not in METHODS:
+    def __init__(
+        self,
+        scheme: str = "dg-p1",
+        grids: tuple[int, ...] = DEFAULT_GRIDS,
+        cfl: float = 0.1,
+        periods: float = 1.0,
+        ic: str = "sine",
+        integrator: str = "ssprk3",
+    ) -> None:
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        grids = _checked_grids(grids)
+        check_finite(cfl, "cfl")
+        check_finite(periods, "periods", zero_ok=True)
+        if integrator not in METHODS:
             raise ValueError(f"integrator must be one of {METHODS}")
-        initial_condition(self.ic)  # validates the spec string
+        initial_condition(ic)  # validates the spec string
+        vars(self).update(
+            scheme=scheme, grids=grids, cfl=cfl, periods=periods, ic=ic, integrator=integrator
+        )
 
 
 def _fmt(value: object, spec: str) -> str:
@@ -336,7 +335,7 @@ def run_compare(config: RunConfig) -> ResultTable:
     """Modal P1 against both second-order FV slope variants: their rows, one table."""
     table = ResultTable("compare", _CONV_COLUMNS)
     for scheme in ("dg-p1", "fv2-central", "fv2-upwind"):
-        table.rows.extend(run_convergence(replace(config, scheme=scheme)).rows)
+        table.rows.extend(run_convergence(RunConfig(**{**vars(config), "scheme": scheme})).rows)
     return table
 
 

@@ -8,13 +8,12 @@ the one place the float route evaluates a basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .exact import basis as _exact
-from .mesh import _readonly, _rebuilt
+from .mesh import Frozen, _readonly
 
 #: The float route's one quadrature rule, read-only: 5-point Gauss-Legendre on
 #: [-1/2, 1/2], exact to degree 9, far past any product of degree <= 2 basis
@@ -26,8 +25,7 @@ QUAD_WEIGHTS = _readonly(np.array([0.1184634425280945, 0.23931433524968324, 0.28
                                    0.23931433524968324, 0.1184634425280945]))
 
 
-@dataclass(frozen=True)
-class ModalBasis:
+class ModalBasis(Frozen):
     """Modal basis of a given degree on xi in [-1/2, 1/2].
 
     Degree 0 is {1}; degree 1 is {1, xi}; degree 2 is the orthonormal triple
@@ -36,20 +34,19 @@ class ModalBasis:
     the basis values and xi-derivatives at QUAD_NODES.
     """
 
-    degree: int
     #: Diagonal of the reference mass matrix.
-    mass: np.ndarray = field(init=False, repr=False, compare=False)
+    mass: np.ndarray
     #: Basis values at xi = +1/2.
-    trace_right: np.ndarray = field(init=False, repr=False, compare=False)
+    trace_right: np.ndarray
     #: Basis values at xi = -1/2.
-    trace_left: np.ndarray = field(init=False, repr=False, compare=False)
+    trace_left: np.ndarray
     #: phi[q, m] = phi_m(QUAD_NODES[q]), shape (n_quad, degree + 1).
-    phi: np.ndarray = field(init=False, repr=False, compare=False)
+    phi: np.ndarray
     #: dphi[q, m] = d phi_m / d xi at QUAD_NODES[q], same shape.
-    dphi: np.ndarray = field(init=False, repr=False, compare=False)
+    dphi: np.ndarray
 
-    def __post_init__(self) -> None:
-        degree = _exact.check_degree(self.degree)
+    def __init__(self, degree: int) -> None:
+        degree = _exact.check_degree(degree)
         polys = _exact.basis_polynomials(degree)
         coeff = np.array([p + (0,) * (degree + 1 - len(p)) for p in polys], dtype=float)
         # Scaling by 1 and 2 is exact: dcoeff is the demoted exact derivative.
@@ -61,11 +58,8 @@ class ModalBasis:
             "phi": (QUAD_NODES[:, None] ** np.arange(degree + 1)) @ coeff.T,
             "dphi": (QUAD_NODES[:, None] ** np.arange(degree)) @ dcoeff.T,
         }
-        object.__setattr__(self, "degree", degree)
-        for name, table in tables.items():
-            object.__setattr__(self, name, _readonly(np.array(table, dtype=float)))
-
-    __reduce__ = _rebuilt
+        tables = {name: _readonly(np.array(t, dtype=float)) for name, t in tables.items()}
+        vars(self).update(degree=degree, **tables)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -19,7 +19,11 @@ subcommand also takes --out DIR, which writes its table as CSV
 (ResultTable.write_csv) and prints the path, and --config FILE, a file of
 key=value lines with the same keys plus out; flags override the file.  Every
 subcommand, taylor included, takes --assert: exit 1 unless the documented
-acceptance bands hold.
+acceptance bands hold.  A config value that does not parse is reported as
+path:line: key: message, exit 2.
+
+A study's handler imports analysis.py, and so numpy, only when its subcommand
+runs; taylor reads only dgmodeq.exact and never loads numpy.
 """
 from __future__ import annotations
 
@@ -28,27 +32,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import (
-    DG_DEGREE,
-    EOC_BANDS,
-    SCHEMES,
-    SPECTRUM_SAMPLES,
-    RunConfig,
-    check_convergence,
-    check_correction,
-    check_residual,
-    check_spectrum,
-    fitted_l2_orders,
-    initial_condition,
-    run_compare,
-    run_convergence,
-    run_correction,
-    run_residual,
-    run_spectrum,
-    spectrum_by_degree,
-)
 from .exact import check_taylor, correction_series, taylor_statements
-from .timestepping import METHODS
+from .schemes import DG_DEGREE, METHODS, SCHEMES
 
 #: fv1 is the P0 DG stencil {0: -1, -1: 1}, so its spectrum is degree 0's.
 _SPECTRUM_DEGREE = {**DG_DEGREE, "fv1": 0}
@@ -82,7 +67,8 @@ _SETTINGS = {
 
 
 def parse_config_file(path: Path | str, known: Sequence[str]) -> dict[str, str]:
-    """key=value lines, each key from `known` at most once; blank lines and # comments ignored."""
+    """key=value lines, each key from `known` at most once and its value one that
+    parses as that setting; blank lines and # comments ignored."""
     path = Path(path)
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -97,6 +83,10 @@ def parse_config_file(path: Path | str, known: Sequence[str]) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(known)})")
         if key in lines:
             raise ValueError(f"{path}:{lineno}: key {key!r} already given on line {lines[key]}")
+        try:
+            _SETTINGS[key][0](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
         values[key], lines[key] = value, lineno
     return values
 
@@ -123,35 +113,46 @@ def _report(failures: list[str], label: str) -> int:
 
 # ----------------------------------------------------------------------
 # handlers: each runs its study on the given settings, prints its own lines,
-# and returns the table (None for taylor) and the label of its --assert PASS
+# and returns the table (None for taylor), the acceptance check of that
+# table and the label of its --assert PASS.  Each imports its study only
+# when it runs, so that taylor never loads numpy.
 
 
 def _convergence(given: dict):
+    from .analysis import EOC_BANDS, RunConfig, check_convergence, fitted_l2_orders, run_convergence
+
     config = RunConfig(**given)
     table = run_convergence(config)
     print(table.format_text())
     order = fitted_l2_orders(table)[config.scheme]
     if order is not None:
         print(f"fitted L2 order: {order:.4f}")
-    return table, f"{config.scheme} order within {EOC_BANDS[config.scheme]}"
+    return table, check_convergence, f"{config.scheme} order within {EOC_BANDS[config.scheme]}"
 
 
 def _compare(given: dict):
+    from .analysis import RunConfig, check_convergence, fitted_l2_orders, run_compare
+
     table = run_compare(RunConfig(**given))
     print(table.format_text())
     for scheme, order in fitted_l2_orders(table).items():
         if order is not None:
             print(f"fitted L2 order {scheme}: {order:.4f}")
-    return table, "compared schemes within their order bands"
+    return table, check_convergence, "compared schemes within their order bands"
 
 
 def _residual(given: dict):
+    from .analysis import RunConfig, check_residual, run_residual
+
     table = run_residual(RunConfig(**given))
     print(table.format_text())
-    return table, "measured coefficients within 1% of the exact tables on the finest grids"
+    label = "measured coefficients within 1% of the exact tables on the finest grids"
+    return table, check_residual, label
 
 
 def _spectrum(given: dict):
+    from .analysis import SPECTRUM_SAMPLES, check_spectrum, run_spectrum, spectrum_by_degree
+
     scheme = given.get("scheme")
     if scheme is None:
         table = run_spectrum()
@@ -164,41 +165,39 @@ def _spectrum(given: dict):
         print(f"degree {degree}: max Re over {SPECTRUM_SAMPLES} samples = {worst:.3e}")
         eigs = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in at_zero)
         print(f"degree {degree}: theta=0 eigenvalues {eigs}")
-    return table, "no eigenvalue crosses the imaginary axis"
+    return table, check_spectrum, "no eigenvalue crosses the imaginary axis"
 
 
 def _correction(given: dict):
+    from .analysis import check_correction, run_correction
+
     table = run_correction(**given)
     print(table.format_text())
     print(f"exact leading coefficient: {correction_series().leading()[1].rational_value()}")
-    return table, "correction defect matches its leading term"
+    return table, check_correction, "correction defect matches its leading term"
 
 
 def _taylor(given: dict):
     for line in taylor_statements():
         print(line)
-    return None, "exact evolution laws match their frozen values"
+    return None, lambda _table: check_taylor(), "exact evolution laws match their frozen values"
 
 
 #: subcommand: (settings it reads, each a flag and a config key; handler;
-#: acceptance check of its table; help).  Any with settings takes --config.
+#: help).  Any with settings takes --config.
 _STUDIES = {
     "convergence": (
         ("scheme", "grids", "cfl", "periods", "ic", "integrator", "out"),
-        _convergence, check_convergence, "grid refinement error study",
+        _convergence, "grid refinement error study",
     ),
-    "residual": (
-        ("scheme", "grids", "out"), _residual, check_residual, "measure evolution-law coefficients",
-    ),
-    "spectrum": (
-        ("scheme", "out"), _spectrum, check_spectrum, "generator eigenvalues over wavenumber",
-    ),
-    "correction": (("grids", "out"), _correction, check_correction, "curvature defect study"),
+    "residual": (("scheme", "grids", "out"), _residual, "measure evolution-law coefficients"),
+    "spectrum": (("scheme", "out"), _spectrum, "generator eigenvalues over wavenumber"),
+    "correction": (("grids", "out"), _correction, "curvature defect study"),
     "compare": (
         ("grids", "cfl", "periods", "ic", "integrator", "out"),
-        _compare, check_convergence, "P1 moments against FV slopes",
+        _compare, "P1 moments against FV slopes",
     ),
-    "taylor": ((), _taylor, lambda _table: check_taylor(), "print the exact evolution laws"),
+    "taylor": ((), _taylor, "print the exact evolution laws"),
 }
 
 
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Taylor tables and numerical studies for modal advection stencils.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (settings, _, _, help_text) in _STUDIES.items():
+    for name, (settings, _, help_text) in _STUDIES.items():
         p = sub.add_parser(name, help=help_text)
         for key in settings:
             p.add_argument(f"--{key}", **_SETTINGS[key][1])
@@ -225,18 +224,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    settings, run, check, _ = _STUDIES[args.command]
+    settings, run, _ = _STUDIES[args.command]
     try:
         given = _given(args, settings) if settings else {}
         out = given.pop("out", None)
         ic = given.get("ic")
-        if args.check and ic is not None and not initial_condition(ic).smooth:
-            print(
-                f"error: --assert bands are calibrated for smooth data; {ic!r} is not smooth",
-                file=sys.stderr,
-            )
-            return 2
-        table, label = run(given)
+        if args.check and ic is not None:
+            from .analysis import initial_condition
+
+            if not initial_condition(ic).smooth:
+                print(
+                    f"error: --assert bands are calibrated for smooth data; {ic!r} is not smooth",
+                    file=sys.stderr,
+                )
+                return 2
+        table, check, label = run(given)
         if out is not None:
             print(f"wrote {table.write_csv(out)}")
         if args.check:

@@ -15,7 +15,6 @@ apply it, and the convergence study propagates it exactly in Fourier space
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .basis import QUAD_WEIGHTS
 from .field import Norms, _norms, sample_cells
-from .mesh import Mesh1D, Stencil, _readonly, _rebuilt
+from .mesh import Frozen, Mesh1D, Stencil, _readonly
 
 # d ubar_j/dt = -(u_{j+1/2} - u_{j-1/2})/dx expanded into weights of
 # ubar_{j+o} per unit dx, keyed by offset o.
@@ -34,23 +33,19 @@ _FV_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class AverageField:
+class AverageField(Frozen):
     """Cell averages (n_cells,) over a periodic mesh, frozen at construction.
 
     Compares and hashes by identity; compare values by np.array_equal on .data.
     """
 
-    mesh: Mesh1D
-    data: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=float)
-        if arr.shape != (self.mesh.n_cells,):
-            raise ValueError(f"average shape {arr.shape} != ({self.mesh.n_cells},)")
-        object.__setattr__(self, "data", _readonly(arr))
-
-    __reduce__ = _rebuilt
+    def __init__(self, mesh: Mesh1D, data: np.ndarray) -> None:
+        arr = np.array(data, dtype=float)
+        if arr.shape != (mesh.n_cells,):
+            raise ValueError(f"average shape {arr.shape} != ({mesh.n_cells},)")
+        vars(self).update(mesh=mesh, data=_readonly(arr))
 
     def with_data(self, arr: np.ndarray) -> AverageField:
         return AverageField(self.mesh, arr)

@@ -1,8 +1,8 @@
 """Uniform periodic mesh on [0, 1], block-circulant operators over it, and the
-frozen-copy rule every float value type shares (_readonly, _rebuilt)."""
+frozen-value rule every float value type shares (_readonly, Frozen)."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from typing import Mapping
 
@@ -16,25 +16,55 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _rebuilt(self) -> tuple:
-    """__reduce__ of a frozen dataclass: copies go through the constructor, so stay read-only."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+class Frozen:
+    """Base of the float value types: a frozen dataclass without generated code.
+
+    A subclass's __init__ validates its arguments and stores them with
+    vars(self).update, which bypasses the frozen __setattr__.  Its fields are
+    that __init__'s parameters, in order; they give repr, == and hash (a class
+    that sets __eq__ and __hash__ to object's compares by identity), and
+    copies and pickles go back through __init__, so their arrays stay
+    read-only.  Assignment raises dataclasses.FrozenInstanceError.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Mesh1D:
+class Mesh1D(Frozen):
     """n_cells equal cells on the periodic unit interval.
 
     Cell j covers [j*dx, (j+1)*dx] with center (j + 1/2)*dx; interface i
     sits at i*dx.
     """
 
-    n_cells: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_cells", checked_int(self.n_cells, "n_cells", 1))
-
-    __reduce__ = _rebuilt
+    def __init__(self, n_cells: int) -> None:
+        vars(self).update(n_cells=checked_int(n_cells, "n_cells", 1))
 
     @property
     def dx(self) -> float:

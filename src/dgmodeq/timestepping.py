@@ -26,43 +26,30 @@ Two routes reach t_final on the same integer step schedule:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exact.numbers import check_finite
-from .mesh import Stencil
-
-#: Shu-Osher rows (a, b) of each method: from y_0 = y, stage i is
-#: y_i = a y + b (y_{i-1} + dt L y_{i-1}), and the last is the step.
-STAGES = {
-    "euler": ((0.0, 1.0),),
-    "ssprk2": ((0.0, 1.0), (0.5, 0.5)),
-    "ssprk3": ((0.0, 1.0), (0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0)),
-}
-METHODS = tuple(STAGES)
+from .mesh import Frozen, Stencil
+from .schemes import METHODS, STAGES
 
 #: Longest schedule counted: at 1e13 steps the count's slack is 0.02 step.
 MAX_STEPS = 1e13
 
 
-@dataclass(frozen=True)
-class Integrator:
+class Integrator(Frozen):
     """Forward Euler or the optimal 2/3-stage SSP Runge-Kutta methods.
 
     Both integrate() and propagate() take schedule(dx) steps of dt = cfl*dx,
     shortening only the last one to land on t_final exactly.
     """
 
-    method: str = "ssprk3"
-    cfl: float = 0.1
-    t_final: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        check_finite(self.cfl, "cfl")
-        check_finite(self.t_final, "t_final", zero_ok=True)
+    def __init__(self, method: str = "ssprk3", cfl: float = 0.1, t_final: float = 1.0) -> None:
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        check_finite(cfl, "cfl")
+        check_finite(t_final, "t_final", zero_ok=True)
+        vars(self).update(method=method, cfl=cfl, t_final=t_final)
 
     def schedule(self, dx: float) -> tuple[int, float, float]:
         """(n, dt, dt_last): step i starts at t = i*dt, the last one is shortened.

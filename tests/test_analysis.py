@@ -1,6 +1,5 @@
 """Study drivers and the command line wrapper around them."""
 import argparse
-import dataclasses
 import importlib
 import os
 import subprocess
@@ -617,8 +616,8 @@ def test_csv_written_for_each_study(tmp_path):
 
 
 def test_run_config_has_only_study_settings():
-    names = [f.name for f in dataclasses.fields(RunConfig)]
-    assert names == ["scheme", "grids", "cfl", "periods", "ic", "integrator"]
+    assert RunConfig._fields == ("scheme", "grids", "cfl", "periods", "ic", "integrator")
+    assert list(vars(RunConfig())) == list(RunConfig._fields)
 
 
 def test_compare_merges_three_convergence_runs():
@@ -626,7 +625,7 @@ def test_compare_merges_three_convergence_runs():
     table = run_compare(config)
     expected_rows, expected_orders = [], {}
     for scheme in ("dg-p1", "fv2-central", "fv2-upwind"):
-        part = run_convergence(dataclasses.replace(config, scheme=scheme))
+        part = run_convergence(RunConfig(**{**vars(config), "scheme": scheme}))
         expected_rows += part.rows
         expected_orders.update(fitted_l2_orders(part))
     assert table.rows == expected_rows
@@ -847,6 +846,25 @@ def test_cli_config_line_without_equals(tmp_path, capsys):
     cfg.write_text("scheme dg-p2\n")
     assert main(["convergence", "--config", str(cfg)]) == 2
     assert f"{cfg}:1: expected key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grids = 20,x", "grids: grids must be comma separated integers, got '20,x'"),
+    ("cfl = fast", "cfl: could not convert string to float: 'fast'"),
+], ids=["grids", "cfl"])
+def test_cli_config_bad_value_names_file_and_line(line, message, tmp_path, capsys):
+    # both used to print only the message, with neither file nor line
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"scheme = dg-p1\n{line}\n")
+    assert main(["convergence", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
+
+def test_cli_bad_flag_value_keeps_argparse_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--cfl", "fast"])
+    assert exc.value.code == 2
+    assert "argument --cfl: invalid float value: 'fast'" in capsys.readouterr().err
 
 
 def test_cli_rejects_non_integer_grid(capsys):

@@ -2,17 +2,24 @@
 
 Every module of dgmodeq.exact may import only the standard library and its
 dgmodeq.exact siblings, so the exact laws can never silently pick up numpy
-or the fast float path.  The check reads the source with ast; it imports
-nothing.
+or the fast float path.  That check reads the source with ast; it imports
+nothing.  The package's top level resolves its float names lazily, so
+`import dgmodeq`, `dgmodeq.exact` and `dgmodeq taylor` load no numpy; those
+checks run in fresh interpreters.
 """
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import dgmodeq
+
 PACKAGE = "dgmodeq.exact"
-EXACT_DIR = Path(__file__).resolve().parents[1] / "src" / "dgmodeq" / "exact"
+SRC = Path(__file__).resolve().parents[1] / "src"
+EXACT_DIR = SRC / "dgmodeq" / "exact"
 SIBLINGS = {path.stem for path in EXACT_DIR.glob("*.py")}
 
 
@@ -73,3 +80,72 @@ def test_stdlib_and_sibling_imports_pass():
         "import dgmodeq.exact.modeq\n"
     )
     assert all(allowed(name) for name in imported_names(source))
+
+
+def fresh(code: str) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter on this src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stdout.splitlines()
+
+
+@pytest.mark.parametrize("statement, tail", [
+    ("import dgmodeq", []),
+    ("import dgmodeq.exact", []),
+    (
+        "import dgmodeq.cli as c; print(c.main(['taylor', '--assert']))",
+        ["PASS: exact evolution laws match their frozen values", "0"],
+    ),
+], ids=["dgmodeq", "exact", "taylor"])
+def test_exact_route_loads_no_numpy(statement, tail):
+    lines = fresh(f"import sys; {statement}; print('numpy' in sys.modules)")
+    assert lines[-len(tail) - 1 :] == [*tail, "False"]
+
+
+def test_float_name_loads_numpy_on_first_use():
+    code = "import sys, dgmodeq; before = 'numpy' in sys.modules; dgmodeq.RunConfig"
+    assert fresh(f"{code}; print(before, 'numpy' in sys.modules)") == ["False True"]
+
+
+# Where each top-level name lives.
+HOMES = {
+    "exact": (
+        "EXACT_POINT", "UPWIND_TRACE", "StencilSpec", "basis_moments", "correction_series",
+        "moment_evolution_laws", "taylor_statements",
+    ),
+    "analysis": (
+        "RunConfig", "check_convergence", "check_correction", "check_residual", "check_spectrum",
+        "fitted_l2_orders", "run_compare", "run_convergence", "run_correction", "run_residual",
+        "run_spectrum",
+    ),
+    "dg": ("rhs_weak", "symbol", "update_matrices"),
+    "field": ("project",),
+    "mesh": ("Mesh1D",),
+    "timestepping": ("Integrator",),
+}
+
+
+def test_every_export_is_the_object_its_module_holds():
+    homed = [name for names in HOMES.values() for name in names]
+    assert sorted(dgmodeq.__all__) == sorted([*homed, "__version__"])
+    # star-imported first, so each float name resolves through the lazy lookup
+    code = (
+        "import importlib\n"
+        "names = {}\n"
+        "exec('from dgmodeq import *', names)\n"
+        f"print([n for m, ns in {HOMES!r}.items() for n in ns\n"
+        "       if names[n] is not getattr(importlib.import_module(f'dgmodeq.{m}'), n)])"
+    )
+    assert fresh(code) == ["[]"]
+
+
+def test_dir_lists_every_export_before_it_loads():
+    code = "import dgmodeq; d = dir(dgmodeq); print('__all__' in d, set(dgmodeq.__all__) <= set(d))"
+    assert fresh(code) == ["True True"]
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dgmodeq.no_such_name

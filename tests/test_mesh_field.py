@@ -1,11 +1,13 @@
 """Mesh geometry, L2 projection and error norms."""
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
-from dgmodeq import Mesh1D, project
+from dgmodeq import Integrator, Mesh1D, RunConfig, project
+from dgmodeq.analysis import _sine, initial_condition
 from dgmodeq.basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
 from dgmodeq.exact import basis as exact_basis
 from dgmodeq.field import ModalField, error_norms, sample_cells
@@ -136,11 +138,14 @@ FROZEN_ARRAYS = {
 }
 
 
-@pytest.mark.parametrize(
+DUPLICATES = pytest.mark.parametrize(
     "duplicate",
     [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
     ids=["deepcopy", "pickle"],
 )
+
+
+@DUPLICATES
 @pytest.mark.parametrize("kind", FROZEN_ARRAYS)
 def test_copies_keep_arrays_read_only(kind, duplicate):
     make, names = FROZEN_ARRAYS[kind]
@@ -173,6 +178,55 @@ def test_fields_compare_by_identity(kind):
     assert hash(state) == hash(state) and state == state
     assert state != twin and np.array_equal(state.data, twin.data)
     assert len({state, twin}) == 2
+
+
+# Each frozen value type (mesh.Frozen): a builder, and its repr, or for the two
+# field states, which compare by identity, the start of it.
+FROZEN_VALUES = {
+    "Mesh1D": (lambda: Mesh1D(np.int64(4)), "Mesh1D(n_cells=4)"),
+    "ModalBasis": (lambda: ModalBasis(2), "ModalBasis(degree=2)"),
+    "Integrator": (
+        lambda: Integrator("euler", 0.2), "Integrator(method='euler', cfl=0.2, t_final=1.0)"
+    ),
+    "RunConfig": (
+        lambda: RunConfig("fv1", [10, 20]),
+        "RunConfig(scheme='fv1', grids=(10, 20), cfl=0.1, periods=1.0, ic='sine',"
+        " integrator='ssprk3')",
+    ),
+    "InitialCondition": (
+        lambda: initial_condition("sine"), f"InitialCondition(fn={_sine!r}, smooth=True)"
+    ),
+    "ModalField": (
+        FROZEN_ARRAYS["ModalField"][0],
+        "ModalField(mesh=Mesh1D(n_cells=4), basis=ModalBasis(degree=1), coeffs=array([[",
+    ),
+    "AverageField": (
+        FROZEN_ARRAYS["AverageField"][0], "AverageField(mesh=Mesh1D(n_cells=4), data=array(["
+    ),
+}
+
+
+@DUPLICATES
+@pytest.mark.parametrize("kind", FROZEN_VALUES)
+def test_frozen_values_compare_show_refuse_writes_and_copy(kind, duplicate):
+    make, shown = FROZEN_VALUES[kind]
+    value, twin = make(), make()
+    dup = duplicate(value)
+    assert type(dup) is type(value)
+    if kind.endswith("Field"):
+        assert value != twin and value != dup and len({value, twin, dup}) == 3
+        assert repr(value).startswith(shown)
+    else:
+        assert value == twin == dup and len({value, twin, dup}) == 1
+        assert repr(value) == repr(dup) == shown
+        assert value != tuple(getattr(value, name) for name in type(value)._fields)
+    for name in type(value)._fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(twin, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.extra = 1
 
 
 def test_with_data_returns_new_field():
