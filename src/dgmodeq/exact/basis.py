@@ -7,8 +7,8 @@ Basis functions live on xi in [-1/2, 1/2]:
     degree 2:  {1, 2*sqrt(3)*xi, 6*sqrt(5)*xi^2 - sqrt(5)/2}   (orthonormal)
 
 Everything here is computed over Q[sqrt(3), sqrt(5)]: monomial moments,
-mass diagonals, interface traces, the volume matrix of the weak form, and
-the one-sided update matrices A, B of
+mass diagonals, interface traces, the volume matrix and the rows of the weak
+form (which modeq reads), and the one-sided update matrices A, B of
 
     dx * d a^j/dt + A a^j - B a^{j-1} = 0.
 
@@ -118,6 +118,20 @@ def volume_matrix(degree: int) -> tuple[tuple[QF, ...], ...]:
 
 
 @lru_cache(maxsize=None, typed=True)
+def weak_form_rows(degree: int) -> tuple[tuple[QF, ...], ...]:
+    """Row m of the weak form's factors, each divided by M_m.
+
+    Row m is (-phi_m(1/2), phi_m(-1/2), V[m][0], .., V[m][degree]) / M_m, the
+    weights of (U_R, U_L, a_0, .., a_degree) in h * d a_m/dt.
+    """
+    tr, tl, vol = trace_vector(degree, +1), trace_vector(degree, -1), volume_matrix(degree)
+    inv_mass = [mass.reciprocal() for mass in mass_diagonal(degree)]
+    return tuple(
+        (-tr[m] * inv, tl[m] * inv, *(v * inv for v in vol[m])) for m, inv in enumerate(inv_mass)
+    )
+
+
+@lru_cache(maxsize=None, typed=True)
 def update_matrices_exact(degree: int) -> tuple[tuple[tuple[QF, ...], ...], tuple[tuple[QF, ...], ...]]:
     """Assemble the exact one-sided update matrices (A, B) from the weak form.
 
@@ -142,18 +156,3 @@ def update_matrices_exact(degree: int) -> tuple[tuple[tuple[QF, ...], ...], tupl
         )
         b_rows.append(tuple(tl[m] * tr[n] * inv_mass for n in range(n_dofs)))
     return tuple(a_rows), tuple(b_rows)
-
-
-@lru_cache(maxsize=None, typed=True)
-def projection_moment(degree: int, m: int, p: int) -> QF:
-    """Exact weight of u^(p) h^p / p! in the m-th L2 projection coefficient.
-
-    Projecting u(x_j + xi*h) onto phi_m gives
-
-        a_m = sum_p u^(p)(x_j) h^p/p! * (integral phi_m xi^p) / M_m
-
-    and this returns the moment ratio (integral phi_m xi^p) / M_m.
-    """
-    polys = basis_polynomials(degree)
-    m = checked_int(m, "moment index", 0, len(polys) - 1)
-    return poly_moment(polys[m], p) / mass_diagonal(degree)[m]

@@ -15,7 +15,8 @@ which must leave purely rational coefficients; any surviving surd component
 means the algebra went wrong and raises DerivationError rather than being
 rounded away.
 
-Laws, moment series and the correction series are derived once per process
+Laws, moment series (combinations of cached monomial series), the weak-form
+rows of each degree and the correction series are derived once per process
 and cached; the public functions hand each caller a fresh list.
 taylor_statements renders the lines `dgmodeq taylor` prints, and
 check_taylor holds the laws and the series to frozen values.
@@ -27,11 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .basis import (
+    basis_polynomials,
     check_degree,
     mass_diagonal,
-    projection_moment,
     trace_vector,
-    volume_matrix,
+    weak_form_rows,
+    xi_moment,
 )
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap it where it wraps the others.
@@ -86,36 +88,37 @@ def basis_moments(degree: int, order: int = DEFAULT_ORDER) -> list[DerivativeSer
 
 
 @lru_cache(maxsize=None)
+def _monomial_series(k: int, order: int) -> DerivativeSeries:
+    """S_k, the series of the cell integral of xi^k u(x + xi*h): c_p = xi_moment(k + p) / p!."""
+    return DerivativeSeries([xi_moment(k + p) * _inv_factorial(p) for p in range(order + 1)])
+
+
+@lru_cache(maxsize=None)
 def _basis_moments(degree: int, order: int) -> tuple[DerivativeSeries, ...]:
+    # phi_m = sum_k b_mk xi^k, so a_m = sum_k (b_mk / M_m) S_k
     return tuple(
-        DerivativeSeries(
-            projection_moment(degree, m, p) * QF.coerce(_inv_factorial(p)) for p in range(order + 1)
+        DerivativeSeries.combination(
+            (b * mass.reciprocal(), _monomial_series(k, order)) for k, b in enumerate(poly)
         )
-        for m in range(degree + 1)
+        for poly, mass in zip(basis_polynomials(degree), mass_diagonal(degree))
     )
 
 
 def modified_equation(spec: StencilSpec) -> list[DerivativeSeries]:
     """Evolution series d a_m/dt for every moment m, paired as h_shift = -1."""
-    moments = basis_moments(spec.degree, spec.order)
-    tr = trace_vector(spec.degree, +1)
-    tl = trace_vector(spec.degree, -1)
-    vol = volume_matrix(spec.degree)
-    mass = mass_diagonal(spec.degree)
+    moments = _basis_moments(spec.degree, spec.order)
     if spec.mode == UPWIND_TRACE:
-        u_right = DerivativeSeries.combination(zip(tr, moments))
+        u_right = DerivativeSeries.combination(zip(trace_vector(spec.degree, +1), moments))
         u_left = u_right.shift(-1)
     else:
         unit = DerivativeSeries.unit(spec.order)
         u_right, u_left = unit.shift(Fraction(1, 2)), unit.shift(Fraction(-1, 2))
-    out = []
-    for m in range(spec.degree + 1):
-        # -(tr[m] U_R - tl[m] U_L - sum_n V[m][n] a_n) / M_m, then the 1/h
-        inv_mass = mass[m].reciprocal()
-        terms = [(-tr[m] * inv_mass, u_right), (tl[m] * inv_mass, u_left)]
-        terms += [(v * inv_mass, a_n) for v, a_n in zip(vol[m], moments)]
-        out.append(DerivativeSeries.combination(terms).div_h())
-    return out
+    # -(tr[m] U_R - tl[m] U_L - sum_n V[m][n] a_n) / M_m, then the 1/h
+    operands = (u_right, u_left, *moments)
+    return [
+        DerivativeSeries.combination(zip(row, operands)).div_h()
+        for row in weak_form_rows(spec.degree)
+    ]
 
 
 @dataclass(frozen=True)
@@ -137,18 +140,17 @@ class ModifiedPDE:
     coeffs: tuple[Fraction, ...]
 
     def coefficient(self, h_power: int) -> Fraction:
-        if not 0 <= h_power < len(self.coeffs):
-            raise IndexError(
-                f"h^{h_power} coefficient beyond derived order {len(self.coeffs) - 1}"
-            )
-        return self.coeffs[h_power]
+        q = checked_int(h_power, "h_power", 0)
+        if q >= len(self.coeffs):
+            raise IndexError(f"h^{q} coefficient beyond derived order {len(self.coeffs) - 1}")
+        return self.coeffs[q]
 
     def derivative_order(self, h_power: int) -> int:
-        return self.moment + 1 + h_power
+        return self.moment + 1 + checked_int(h_power, "h_power", 0)
 
     def statement(self, n_terms: int = 2) -> str:
         """Render e.g. 'u_xt = 0*u_xx + (-2/5)*h*u_xxx + O(h^2)'."""
-        n_terms = min(n_terms, len(self.coeffs))
+        n_terms = min(checked_int(n_terms, "n_terms", 1), len(self.coeffs))
         parts = []
         for q in range(n_terms):
             coeff = self.coeffs[q]
@@ -192,23 +194,21 @@ def _evolution_laws(spec: StencilSpec) -> tuple[ModifiedPDE, ...]:
             raise ValueError(f"expected h_shift -1 from the stencil, got {dadt.h_shift}")
         lead_coeff = moment_leading_scale(spec.degree, m)
         normalized = DerivativeSeries.combination([(lead_coeff.reciprocal(), dadt)]).div_h(m)
-        coeffs: list[Fraction] = []
-        for p in range(normalized.order + 1):
-            coeff = normalized.coefficient(p)
-            q = normalized.h_power(p)  # = p - m - 1
-            if q < 0:
-                if not coeff.is_zero():
+        rational, *surds = normalized.rows
+        start = -normalized.h_shift  # u^(start) pairs with h^0
+        if any(rational[:start]) or any(map(any, surds)):
+            for p, column in enumerate(zip(*normalized.rows)):
+                if p < start and any(column):
                     raise DerivationError(
                         f"inconsistent leading scale: u^({p}) term survives below h^0"
                     )
-                continue
-            if not coeff.is_rational():
-                raise DerivationError(
-                    f"irrational coefficient {coeff} at h^{q}; "
-                    "normalization should cancel every surd"
-                )
-            coeffs.append(coeff.rational_value())
-        out.append(ModifiedPDE(degree=spec.degree, moment=m, mode=spec.mode, coeffs=tuple(coeffs)))
+                if any(column[1:]):
+                    raise DerivationError(
+                        f"irrational coefficient {normalized.coefficient(p)} at h^{p - start}; "
+                        "normalization should cancel every surd"
+                    )
+        coeffs = tuple(Fraction(x, normalized.den) for x in rational[start:])
+        out.append(ModifiedPDE(degree=spec.degree, moment=m, mode=spec.mode, coeffs=coeffs))
     return tuple(out)
 
 

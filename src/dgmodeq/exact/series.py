@@ -148,7 +148,7 @@ class DerivativeSeries:
 
     def h_power(self, p: int) -> int:
         """Power of h paired with u^(p)."""
-        return p + self.h_shift
+        return checked_int(p, "p", 0) + self.h_shift
 
     def leading(self) -> tuple[int, QF] | None:
         """(p, c_p) of the first nonzero term, or None for the zero series."""

@@ -1,14 +1,17 @@
 """Tier-1 runs what CI runs.
 
-Every `run:` step of .github/workflows/tests.yml runs here as CI runs it:
-under `bash -e`, from the repository root, with the job env plus the step's
-env, and RUNNER_TEMP pointing at a fresh temporary directory.  Two steps are
-left out: the dependency install and the Tier-1 step, which is this suite.
+Every `run:` step of every job in .github/workflows/tests.yml runs here as
+CI runs it: under `bash -e`, from the repository root, with the job env plus
+the step's env, and RUNNER_TEMP pointing at a fresh temporary directory.
+Steps of a job with a Python version matrix run on the interpreter running
+this suite.  Two steps are left out: the dependency install and the Tier-1
+step, which is this suite.
 The workflow is read by a small indentation parser, since CI installs no
 YAML library.
 """
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +24,8 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def _scalar(text: str):
-    if text.startswith('"'):
+    # a flow sequence of quoted scalars, such as a version matrix, is JSON too
+    if text.startswith(('"', '[')):
         return json.loads(text)
     if text.startswith("'"):
         return text[1:-1].replace("''", "'")
@@ -60,7 +64,8 @@ def _node(lines: list, i: int, indent: int):
 
 def parse_workflow(text: str) -> dict:
     """The block-style YAML subset a workflow file uses: mappings, sequences,
-    plain and quoted scalars, and `|` literal blocks without blank lines."""
+    plain and quoted scalars, flow sequences of quoted scalars, and `|`
+    literal blocks without blank lines."""
     lines = [
         (len(line) - len(line.lstrip(" ")), line.strip())
         for line in text.splitlines()
@@ -72,29 +77,51 @@ def parse_workflow(text: str) -> dict:
     return tree
 
 
-JOB = parse_workflow(WORKFLOW.read_text())["jobs"]["tests"]
+JOBS = parse_workflow(WORKFLOW.read_text())["jobs"]
 
 
 def _runs_here(step: dict) -> bool:
     return "run" in step and not any(word in step["run"] for word in ("pip install", "pytest"))
 
 
-STEPS = [step for step in JOB["steps"] if _runs_here(step)]
+#: Each step that runs here, with its env merged over its job's.
+STEPS = [
+    {**step, "env": {**job.get("env", {}), **step.get("env", {})}}
+    for job in JOBS.values()
+    for step in job["steps"]
+    if _runs_here(step)
+]
 
 
 def test_workflow_parse():
-    assert JOB["env"] == {"PYTHONPATH": "src"}
-    skipped = [step["name"] for step in JOB["steps"] if "run" in step and not _runs_here(step)]
+    assert JOBS["tests"]["env"] == {"PYTHONPATH": "src"}
+    skipped = [
+        step["name"]
+        for job in JOBS.values()
+        for step in job["steps"]
+        if "run" in step and not _runs_here(step)
+    ]
     assert skipped == ["Install dependencies", "Tier-1 tests"]
     assert STEPS and all(step["name"] and step["run"].strip() for step in STEPS)
+    # step names are the test ids below
+    assert len({step["name"] for step in STEPS}) == len(STEPS)
     block = parse_workflow("a:\n  - b: |\n      x\n        y\n    c:\n      D: \"$T/e\"\n")
     assert block == {"a": [{"b": "x\n  y\n", "c": {"D": "$T/e"}}]}
+
+
+def test_exact_route_job_spans_the_supported_pythons():
+    # the requires-python floor and the newest release, neither with numpy installed
+    job = JOBS["exact-route"]
+    floor = re.search(r'requires-python = ">=([\d.]+)"', (ROOT / "pyproject.toml").read_text())
+    assert job["strategy"]["matrix"]["python-version"] == [floor.group(1), "3.13"]
+    assert job["env"] == {"PYTHONPATH": "src", "PYTHONWARNINGS": "error"}
+    assert not any("install" in step.get("run", "") for step in job["steps"])
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="CI runs the steps under bash")
 @pytest.mark.parametrize("step", STEPS, ids=lambda step: step["name"])
 def test_ci_step_passes(step, tmp_path):
-    env = dict(os.environ, **JOB["env"], **step.get("env", {}), RUNNER_TEMP=str(tmp_path))
+    env = dict(os.environ, **step["env"], RUNNER_TEMP=str(tmp_path))
     # `python` and `python3` are the interpreter running this suite, as setup-python makes them
     env["PATH"] = os.pathsep.join([str(Path(sys.executable).parent), env.get("PATH", "")])
     proc = subprocess.run(

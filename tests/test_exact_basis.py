@@ -19,9 +19,9 @@ from dgmodeq.exact.basis import (
     poly_derivative,
     poly_eval,
     poly_moment,
-    projection_moment,
     trace_vector,
     volume_matrix,
+    weak_form_rows,
     xi_moment,
 )
 
@@ -141,6 +141,21 @@ def test_difference_matrix_k2():
     )
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_weak_form_rows_rebuild_the_update_matrices(degree):
+    # the laws read the rows and the float stencil reads A and B; both come
+    # from one weak form: -A[m][n] = row[0] tr[n] + row[2 + n], B[m][n] = row[1] tr[n]
+    a_mat, b_mat = update_matrices_exact(degree)
+    tr = trace_vector(degree, +1)
+    rows = weak_form_rows(degree)
+    assert len(rows) == degree + 1
+    for m, row in enumerate(rows):
+        assert len(row) == degree + 3
+        for n in range(degree + 1):
+            assert -a_mat[m][n] == row[0] * tr[n] + row[2 + n]
+            assert b_mat[m][n] == row[1] * tr[n]
+
+
 def test_degree_out_of_range():
     with pytest.raises(ValueError):
         update_matrices_exact(3)
@@ -171,7 +186,7 @@ def test_degree_guard_accepts_integers():
 
 # Each cached exact-basis function with the int-degree arguments that warm it.
 CACHED_BY_DEGREE = {
-    "projection_moment": (projection_moment, (1, 1)),
+    "weak_form_rows": (weak_form_rows, ()),
     "trace_vector": (trace_vector, (1,)),
     "mass_diagonal": (mass_diagonal, ()),
     "volume_matrix": (volume_matrix, ()),
@@ -216,9 +231,6 @@ def test_integer_arguments_are_checked():
     for bad in (1.5, True, -1):
         with pytest.raises(ValueError, match="moment order"):
             xi_moment(bad)
-    for m in (2, 1.0):
-        with pytest.raises(ValueError, match="moment index"):
-            projection_moment(1, m, 0)
     np = pytest.importorskip("numpy")
     assert ModalBasis(np.int64(2)).degree == 2 and type(ModalBasis(np.int64(2)).degree) is int
     assert type(StencilSpec(np.int64(1), UPWIND_TRACE, np.int64(6)).order) is int

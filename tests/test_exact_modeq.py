@@ -6,6 +6,7 @@ session expanding the same weak forms. The engine under test shares no code
 with either derivation.
 """
 import dataclasses
+import math
 import re
 from fractions import Fraction as F
 
@@ -27,6 +28,7 @@ from dgmodeq.exact import (
     moment_leading_scale,
     update_matrices_exact,
 )
+from dgmodeq.exact.basis import basis_polynomials, mass_diagonal, xi_moment
 from dgmodeq.exact.series import _taylor_weights
 
 
@@ -60,6 +62,21 @@ def test_basis_moment_series(degree, m):
     series = basis_moments(degree)[m]
     assert series.h_shift == 0
     assert series_terms(series) == MOMENT_TERMS[(degree, m)]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_basis_moments_match_their_definition(degree):
+    # c_p = (integral phi_m xi^p) / (M_m p!), computed here term by term from
+    # the basis polynomials rather than through the cached monomial series
+    mass = mass_diagonal(degree)
+    for order in range(13):
+        moments = basis_moments(degree, order)
+        assert len(moments) == degree + 1
+        for poly, m_mass, series in zip(basis_polynomials(degree), mass, moments):
+            assert series.h_shift == 0 and series.order == order
+            for p in range(order + 1):
+                integral = sum((b * QF(xi_moment(k + p)) for k, b in enumerate(poly)), R(0))
+                assert series.coefficient(p) == integral / m_mass / math.factorial(p)
 
 
 def test_moment_leading_scale():
@@ -201,6 +218,24 @@ def test_derivative_order_mapping():
     assert law.derivative_order(1) == 4
 
 
+@pytest.mark.parametrize("h_power", [True, 1.0, -1], ids=repr)
+def test_law_h_powers_must_be_nonnegative_integers(h_power):
+    # coefficient(True) answered for h^1 and coefficient(1.0) raised TypeError
+    law = moment_evolution_laws(StencilSpec(1, UPWIND_TRACE))[0]
+    with pytest.raises(ValueError, match="h_power must be an integer >= 0"):
+        law.coefficient(h_power)
+    with pytest.raises(ValueError, match="h_power must be an integer >= 0"):
+        law.derivative_order(h_power)
+
+
+@pytest.mark.parametrize("n_terms", [0, True, 2.0, -1], ids=repr)
+def test_statement_term_counts_must_be_positive_integers(n_terms):
+    # statement(0) rendered 'u_t =  + O(h^0)' and statement(True) 'O(h^True)'
+    law = moment_evolution_laws(StencilSpec(1, UPWIND_TRACE))[0]
+    with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
+        law.statement(n_terms)
+
+
 # ----------------------------------------------------------------------
 # correction series
 
@@ -257,6 +292,8 @@ def _clear_caches():
         modeq._evolution_laws,
         modeq._correction_series,
         modeq._basis_moments,
+        modeq._monomial_series,
+        basis.weak_form_rows,
         _taylor_weights,
     ):
         cached.cache_clear()

@@ -101,11 +101,14 @@ def test_truncation_is_strict():
 
 @pytest.mark.parametrize("value", [True, False, -3, -1, 2.0, 0.5, "2", None], ids=repr)
 def test_series_indices_must_be_nonnegative_integers(value):
-    # unit(True) would track order 1, unit(-3) order 0, and coefficient(True) answer for p = 1
+    # unit(True) would track order 1, unit(-3) order 0, and coefficient(True)
+    # and h_power(True) answer for p = 1
     with pytest.raises(ValueError, match="order"):
         DerivativeSeries.unit(value)
     with pytest.raises(ValueError, match="p must be"):
         DerivativeSeries.unit(3).coefficient(value)
+    with pytest.raises(ValueError, match="p must be"):
+        DerivativeSeries.unit(3).h_power(value)
 
 
 def test_addition_truncates_to_shorter():
