@@ -43,13 +43,13 @@ from .exact import (
 )
 from .exact.basis import check_degree
 from .exact.modeq import derivative_name
-from .exact.numbers import check_finite, checked_int
+from .exact.numbers import Frozen, check_finite, checked_int
 from .field import ModalField, Norms, error_norms, project
 from .fv import average_error_norms, fv_stencil, project_averages
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap them where it wraps the others.
 from .fv import rhs_fv1, rhs_fv2  # noqa: F401
-from .mesh import Frozen, Mesh1D
+from .mesh import Mesh1D
 from .schemes import DG_DEGREE, METHODS, SCHEMES
 from .timestepping import Integrator
 

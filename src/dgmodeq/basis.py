@@ -13,7 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import basis as _exact
-from .mesh import Frozen, _readonly
+from .exact.numbers import Frozen
+from .mesh import _readonly
 
 #: The float route's one quadrature rule, read-only: 5-point Gauss-Legendre on
 #: [-1/2, 1/2], exact to degree 9, far past any product of degree <= 2 basis

@@ -23,7 +23,6 @@ check_taylor holds the laws and the series to frozen values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,7 +37,7 @@ from .basis import (
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap it where it wraps the others.
 from .basis import update_matrices_exact  # noqa: F401
-from .numbers import QF, checked_int
+from .numbers import QF, Frozen, checked_int
 from .series import DerivativeSeries, _inv_factorial
 
 #: Interface-value modes for the symbolic stencil.
@@ -63,19 +62,19 @@ class DerivationError(ValueError):
     """Raised when a symbolic derivation violates a structural expectation."""
 
 
-@dataclass(frozen=True)
-class StencilSpec:
+class StencilSpec(Frozen):
     """One symbolic derivation: basis degree, interface mode, truncation."""
 
-    degree: int
-    mode: str
-    order: int = DEFAULT_ORDER
+    __slots__ = ("degree", "mode", "order")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degree", check_degree(self.degree))
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        object.__setattr__(self, "order", checked_int(self.order, "truncation order", MIN_ORDER))
+    def __init__(self, degree: int, mode: str, order: int = DEFAULT_ORDER) -> None:
+        degree = check_degree(degree)
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        order = checked_int(order, "truncation order", MIN_ORDER)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "order", order)
 
 
 def basis_moments(degree: int, order: int = DEFAULT_ORDER) -> list[DerivativeSeries]:
@@ -121,8 +120,7 @@ def modified_equation(spec: StencilSpec) -> list[DerivativeSeries]:
     ]
 
 
-@dataclass(frozen=True)
-class ModifiedPDE:
+class ModifiedPDE(Frozen):
     """Normalized evolution law of one moment.
 
     coeffs[q] is the rational coefficient of h^q * u^(moment + 1 + q) on the
@@ -134,10 +132,13 @@ class ModifiedPDE:
     is divided by the leading scale of a_m.
     """
 
-    degree: int
-    moment: int
-    mode: str
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("degree", "moment", "mode", "coeffs")
+
+    def __init__(self, degree: int, moment: int, mode: str, coeffs: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "moment", moment)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coefficient(self, h_power: int) -> Fraction:
         q = checked_int(h_power, "h_power", 0)
@@ -168,7 +169,12 @@ def moment_leading_scale(degree: int, m: int) -> QF:
     """
     degree = check_degree(degree)
     m = checked_int(m, "moment index", 0, degree)
-    lead = _basis_moments(degree, DEFAULT_ORDER)[m].coefficient(m)
+    return _leading_scale(_basis_moments(degree, DEFAULT_ORDER), degree, m)
+
+
+def _leading_scale(moments: tuple[DerivativeSeries, ...], degree: int, m: int) -> QF:
+    """The u^(m) coefficient of moments[m], which every truncation order >= m holds alike."""
+    lead = moments[m].coefficient(m)
     if lead.is_zero():
         raise DerivationError(f"moment {m} of degree-{degree} basis has no leading term")
     return lead
@@ -189,10 +195,12 @@ def moment_evolution_laws(spec: StencilSpec) -> list[ModifiedPDE]:
 @lru_cache(maxsize=None)
 def _evolution_laws(spec: StencilSpec) -> tuple[ModifiedPDE, ...]:
     out = []
+    # the moment series modified_equation reads, so no other order's series are built
+    moments = _basis_moments(spec.degree, spec.order)
     for m, dadt in enumerate(modified_equation(spec)):
         if dadt.h_shift != -1:
             raise ValueError(f"expected h_shift -1 from the stencil, got {dadt.h_shift}")
-        lead_coeff = moment_leading_scale(spec.degree, m)
+        lead_coeff = _leading_scale(moments, spec.degree, m)
         normalized = DerivativeSeries.combination([(lead_coeff.reciprocal(), dadt)]).div_h(m)
         rational, *surds = normalized.rows
         start = -normalized.h_shift  # u^(start) pairs with h^0

@@ -22,15 +22,20 @@ c, d components and rational_value() are Fractions.
 x / y is x * y.reciprocal(), and reciprocal() is restricted to
 single-component values, rationals included (the only reciprocals the
 derivations need, e.g. 1/(q*sqrt(3)) = (1/(3q))*sqrt(3)).  General
-quartic-field inversion is out of scope and raises ValueError.  checked_int
-and check_finite are the input rules of both routes, for counts and for
-real settings.
+quartic-field inversion is out of scope and raises ValueError.
+
+The rules both routes share live here too: checked_int and check_finite, the
+input rules for counts and for real settings, and Frozen, the base of every
+value type but QF (the exact StencilSpec, ModifiedPDE and DerivativeSeries,
+and the float route's meshes, bases, fields, integrators and configs).  It
+gives them what a frozen dataclass would, without importing dataclasses.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm, sqrt
 from numbers import Integral, Rational, Real
+from operator import attrgetter
 
 _SQRT3 = sqrt(3.0)
 _SQRT5 = sqrt(5.0)
@@ -71,6 +76,74 @@ def check_finite(value: float, name: str, zero_ok: bool = False) -> None:
         0 < value < inf or zero_ok and value == 0
     ):
         raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+
+
+class _DataclassFields:
+    """dataclasses' field table of one Frozen class, built on first access and kept on the class.
+
+    It answers the public protocol (is_dataclass, fields, replace, asdict)
+    without importing dataclasses until a caller asks.
+    """
+
+    def __get__(self, obj: object, cls: type) -> dict:
+        from dataclasses import make_dataclass
+
+        table = make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+        cls.__dataclass_fields__ = table
+        return table
+
+
+class Frozen:
+    """Base of the frozen value types: a frozen dataclass without generated code.
+
+    A subclass's __init__ validates its arguments and stores them, with
+    vars(self).update or, in a class with __slots__, object.__setattr__;
+    both bypass the frozen __setattr__.  Its fields are that __init__'s
+    parameters, in order, unless the class names them in _fields.  They give
+    repr, == and hash (a class that sets __eq__ and __hash__ to object's
+    compares by identity), and copies and pickles go back through __init__.
+    Assignment and deletion raise dataclasses.FrozenInstanceError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+        # one C call reads every field (a single field's value alone): the key of == and hash
+        cls._key = attrgetter(*cls._fields)
+        cls.__dataclass_fields__ = _DataclassFields()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from .numbers import _PRODUCT, ONE, QF, ZERO, RationalLike, _ratio, _reduced, checked_int
+from .numbers import _PRODUCT, ONE, QF, ZERO, Frozen, RationalLike, _ratio, _reduced, checked_int
 
 
 def _inv_factorial(n: int) -> Fraction:
@@ -57,19 +56,20 @@ def _series(rows, den: int, h_shift: int) -> DerivativeSeries:
         den //= g
     new = object.__new__(DerivativeSeries)
     # tuple() of a tuple is that tuple, so rows already in lowest terms are shared
-    object.__setattr__(new, "rows", tuple(map(tuple, rows)))
-    object.__setattr__(new, "den", den)
-    object.__setattr__(new, "h_shift", h_shift)
+    _set_rows(new, tuple(map(tuple, rows)))
+    _set_den(new, den)
+    _set_h_shift(new, h_shift)
     return new
 
 
-@dataclass(frozen=True, init=False)
-class DerivativeSeries:
-    """Immutable truncated series sum_p c_p * u^(p) * h^(p + h_shift)."""
+class DerivativeSeries(Frozen):
+    """Immutable truncated series sum_p c_p * u^(p) * h^(p + h_shift).
 
-    rows: tuple[tuple[int, ...], ...]
-    den: int
-    h_shift: int
+    Its fields are the canonical record (rows, den, h_shift), not the
+    constructor's coefficients, so copies and pickles go through _series.
+    """
+
+    __slots__ = _fields = ("rows", "den", "h_shift")
 
     def __init__(self, coeffs: Iterable[QF | RationalLike], h_shift: int = 0) -> None:
         values = [QF.coerce(c) for c in coeffs]
@@ -78,9 +78,12 @@ class DerivativeSeries:
         # lowest-terms values over the lcm of their denominators stay coprime
         den = math.lcm(*(c._den for c in values))
         rows = tuple(tuple(c._n[k] * (den // c._den) for c in values) for k in range(4))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "h_shift", checked_int(h_shift, "h_shift"))
+        _set_rows(self, rows)
+        _set_den(self, den)
+        _set_h_shift(self, checked_int(h_shift, "h_shift"))
+
+    def __reduce__(self) -> tuple:
+        return _series, self._values()
 
     # -- constructors ------------------------------------------------------
 
@@ -197,3 +200,9 @@ class DerivativeSeries:
             terms.append(f"({coeff}){h_txt}*u^({p})")
         body = " + ".join(terms) if terms else "0"
         return f"<series {body} + O(h^{self.order + 1 + self.h_shift})>"
+
+
+# Slot setters that bypass the frozen __setattr__; only this module builds series.
+_set_rows = DerivativeSeries.rows.__set__
+_set_den = DerivativeSeries.den.__set__
+_set_h_shift = DerivativeSeries.h_shift.__set__

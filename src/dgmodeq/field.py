@@ -7,7 +7,8 @@ from typing import Callable
 import numpy as np
 
 from .basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis, modal_basis
-from .mesh import Frozen, Mesh1D, _readonly
+from .exact.numbers import Frozen
+from .mesh import Mesh1D, _readonly
 
 
 class ModalField(Frozen):

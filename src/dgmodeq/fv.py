@@ -21,8 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .basis import QUAD_WEIGHTS
+from .exact.numbers import Frozen
 from .field import Norms, _norms, sample_cells
-from .mesh import Frozen, Mesh1D, Stencil, _readonly
+from .mesh import Mesh1D, Stencil, _readonly
 
 # d ubar_j/dt = -(u_{j+1/2} - u_{j-1/2})/dx expanded into weights of
 # ubar_{j+o} per unit dx, keyed by offset o.

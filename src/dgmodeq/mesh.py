@@ -1,59 +1,22 @@
-"""Uniform periodic mesh on [0, 1], block-circulant operators over it, and the
-frozen-value rule every float value type shares (_readonly, Frozen)."""
+"""Uniform periodic mesh on [0, 1] and block-circulant operators over it.
+
+Mesh1D, like every float value type, derives from Frozen, the frozen-value
+rule that lives in exact.numbers and that the exact value types share;
+_readonly freezes the float types' arrays.
+"""
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .exact.numbers import checked_int
+from .exact.numbers import Frozen, checked_int
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-class Frozen:
-    """Base of the float value types: a frozen dataclass without generated code.
-
-    A subclass's __init__ validates its arguments and stores them with
-    vars(self).update, which bypasses the frozen __setattr__.  Its fields are
-    that __init__'s parameters, in order; they give repr, == and hash (a class
-    that sets __eq__ and __hash__ to object's compares by identity), and
-    copies and pickles go back through __init__, so their arrays stay
-    read-only.  Assignment raises dataclasses.FrozenInstanceError.
-    """
-
-    def __init_subclass__(cls) -> None:
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1 : code.co_argcount]
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({args})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
 
 
 class Mesh1D(Frozen):

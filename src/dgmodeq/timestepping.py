@@ -29,8 +29,8 @@ import math
 
 import numpy as np
 
-from .exact.numbers import check_finite
-from .mesh import Frozen, Stencil
+from .exact.numbers import Frozen, check_finite
+from .mesh import Stencil
 from .schemes import METHODS, STAGES
 
 #: Longest schedule counted: at 1e13 steps the count's slack is 0.02 step.

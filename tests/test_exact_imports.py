@@ -4,8 +4,10 @@ Every module of dgmodeq.exact may import only the standard library and its
 dgmodeq.exact siblings, so the exact laws can never silently pick up numpy
 or the fast float path.  That check reads the source with ast; it imports
 nothing.  The package's top level resolves its float names lazily, so
-`import dgmodeq`, `dgmodeq.exact` and `dgmodeq taylor` load no numpy; those
-checks run in fresh interpreters.
+`import dgmodeq`, `dgmodeq.exact` and `dgmodeq taylor` load no numpy.  The
+value types of both routes derive from exact.numbers.Frozen, which imports
+dataclasses only when a caller asks for its protocol, so no route loads
+dataclasses either.  Those checks run in fresh interpreters.
 """
 import ast
 import os
@@ -100,8 +102,30 @@ def fresh(code: str) -> list[str]:
     ),
 ], ids=["dgmodeq", "exact", "taylor"])
 def test_exact_route_loads_no_numpy(statement, tail):
-    lines = fresh(f"import sys; {statement}; print('numpy' in sys.modules)")
-    assert lines[-len(tail) - 1 :] == [*tail, "False"]
+    lines = fresh(f"import sys; {statement}; print(sorted({{'numpy', 'dataclasses'}} & set(sys.modules)))")
+    assert lines[-len(tail) - 1 :] == [*tail, "[]"]
+
+
+def test_float_route_loads_no_dataclasses():
+    code = "import sys, dgmodeq.analysis; print('numpy' in sys.modules, 'dataclasses' in sys.modules)"
+    assert fresh(code) == ["True False"]
+
+
+def test_frozen_values_load_dataclasses_only_when_asked():
+    code = (
+        "import copy, pickle, sys\n"
+        "from dgmodeq.exact import DerivativeSeries, StencilSpec, moment_evolution_laws\n"
+        "spec = StencilSpec(1, 'exact-point')\n"
+        "values = [spec, moment_evolution_laws(spec)[0], DerivativeSeries.unit(3)]\n"
+        "same = [v == pickle.loads(pickle.dumps(copy.deepcopy(v))) for v in values]\n"
+        "print(all(same), len(set(values)), repr(spec), 'dataclasses' in sys.modules)\n"
+        "import dataclasses\n"
+        "print([f.name for f in dataclasses.fields(spec)])"
+    )
+    assert fresh(code) == [
+        "True 3 StencilSpec(degree=1, mode='exact-point', order=8) False",
+        "['degree', 'mode', 'order']",
+    ]
 
 
 def test_float_name_loads_numpy_on_first_use():

@@ -333,6 +333,16 @@ def test_taylor_assert_derives_each_law_once(capsys):
     assert modeq._correction_series.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("order", [6, 9, 10])
+def test_laws_build_the_moment_series_of_their_own_order_only(order):
+    # the leading scales come from the series being normalized, not from DEFAULT_ORDER's
+    _clear_caches()
+    moment_evolution_laws(StencilSpec(2, UPWIND_TRACE, order))
+    assert modeq._basis_moments.cache_info().misses == 1
+    assert modeq._monomial_series.cache_info().misses == 3
+    assert [moment_leading_scale(2, m) for m in range(3)] == [R(1), SQ3 / 6, SQ5 / 60]
+
+
 # each fault patches one name that check_taylor reads from modeq at call time
 
 

@@ -1,5 +1,6 @@
 """Arithmetic in Q(sqrt(3), sqrt(5)) must be exact, closed and total."""
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -7,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from dgmodeq.exact import QF
-from dgmodeq.exact.numbers import ONE, SQRT3, SQRT5, SQRT15, ZERO, checked_int
+from dgmodeq.exact import EXACT_POINT, QF, UPWIND_TRACE, DerivativeSeries, ModifiedPDE, StencilSpec
+from dgmodeq.exact.numbers import ONE, SQRT3, SQRT5, SQRT15, ZERO, Frozen, checked_int
 
 
 def R(p, q=1):
@@ -395,3 +396,93 @@ def test_checked_int_rules(make, bounds, expected):
     else:
         got = checked_int(value, "n", *bounds)
         assert got == expected and type(got) is int
+
+
+# ----------------------------------------------------------------------
+# Frozen, the one frozen-value rule of both routes: each type builds two
+# equal values, a different one, and names the field a replace changes.
+
+
+def _integrator(cfl):
+    return pytest.importorskip("dgmodeq.timestepping").Integrator("ssprk2", cfl)
+
+
+FROZEN_TYPES = {
+    "StencilSpec": (lambda: StencilSpec(2, EXACT_POINT, 9), lambda: StencilSpec(2, EXACT_POINT)),
+    "ModifiedPDE": (
+        lambda: ModifiedPDE(1, 0, UPWIND_TRACE, (Fraction(-1), Fraction(0), Fraction(1, 24))),
+        lambda: ModifiedPDE(1, 1, UPWIND_TRACE, (Fraction(-1), Fraction(0), Fraction(1, 24))),
+    ),
+    "DerivativeSeries": (
+        lambda: DerivativeSeries([1, Fraction(1, 2), SQRT3], h_shift=-1),
+        lambda: DerivativeSeries([1, Fraction(1, 2), SQRT5], h_shift=-1),
+    ),
+    "Integrator": (lambda: _integrator(0.2), lambda: _integrator(0.3)),
+}
+FIELDS = {
+    "StencilSpec": ("degree", "mode", "order"),
+    "ModifiedPDE": ("degree", "moment", "mode", "coeffs"),
+    "DerivativeSeries": ("rows", "den", "h_shift"),
+    "Integrator": ("method", "cfl", "t_final"),
+}
+
+
+@pytest.mark.parametrize("kind", FROZEN_TYPES)
+def test_frozen_values_refuse_assignment_and_deletion(kind):
+    value = FROZEN_TYPES[kind][0]()
+    for name in (*FIELDS[kind], "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert value == FROZEN_TYPES[kind][0]()
+
+
+@pytest.mark.parametrize("kind", FROZEN_TYPES)
+def test_frozen_values_compare_and_hash_by_value(kind):
+    make, make_other = FROZEN_TYPES[kind]
+    value, twin, other = make(), make(), make_other()
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert value != other and len({value, twin, other}) == 2
+    assert value != tuple(getattr(value, name) for name in FIELDS[kind])
+
+
+@pytest.mark.parametrize("kind", FROZEN_TYPES)
+def test_frozen_values_copy_and_pickle(kind):
+    value = FROZEN_TYPES[kind][0]()
+    for dup in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(dup) is type(value)
+        assert dup == value and hash(dup) == hash(value) and repr(dup) == repr(value)
+
+
+@pytest.mark.parametrize("kind", FROZEN_TYPES)
+def test_frozen_values_answer_the_dataclass_protocol(kind):
+    value = FROZEN_TYPES[kind][0]()
+    assert dataclasses.is_dataclass(value) and dataclasses.is_dataclass(type(value))
+    assert tuple(f.name for f in dataclasses.fields(value)) == FIELDS[kind] == type(value)._fields
+    assert dataclasses.asdict(value) == {name: getattr(value, name) for name in FIELDS[kind]}
+    if kind == "DerivativeSeries":
+        # its fields are the canonical record, not the constructor's coefficients
+        with pytest.raises(TypeError, match="rows"):
+            dataclasses.replace(value)
+        return
+    assert dataclasses.replace(value) == value
+    other = FROZEN_TYPES[kind][1]()
+    changed = {name: getattr(other, name) for name in FIELDS[kind]}
+    assert dataclasses.replace(value, **changed) == other
+
+
+def test_frozen_base_is_no_dataclass_and_subclasses_keep_their_own_fields():
+    class Point(Frozen):
+        def __init__(self, x):
+            vars(self).update(x=x)
+
+    class Labelled(Point):
+        def __init__(self, x, label):
+            vars(self).update(x=x, label=label)
+
+    assert not dataclasses.is_dataclass(Frozen)
+    assert [f.name for f in dataclasses.fields(Point)] == ["x"]
+    assert [f.name for f in dataclasses.fields(Labelled)] == ["x", "label"]
+    assert dataclasses.replace(Labelled(1, "a"), label="b") == Labelled(1, "b")
+    assert Point(1) != Labelled(1, "a") and Point(1) == Point(1)

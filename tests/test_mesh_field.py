@@ -180,7 +180,7 @@ def test_fields_compare_by_identity(kind):
     assert len({state, twin}) == 2
 
 
-# Each frozen value type (mesh.Frozen): a builder, and its repr, or for the two
+# Each float value type (exact.numbers.Frozen): a builder, and its repr, or for the two
 # field states, which compare by identity, the start of it.
 FROZEN_VALUES = {
     "Mesh1D": (lambda: Mesh1D(np.int64(4)), "Mesh1D(n_cells=4)"),
