@@ -65,16 +65,12 @@ class DerivationError(ValueError):
 class StencilSpec(Frozen):
     """One symbolic derivation: basis degree, interface mode, truncation."""
 
-    __slots__ = ("degree", "mode", "order")
-
     def __init__(self, degree: int, mode: str, order: int = DEFAULT_ORDER) -> None:
         degree = check_degree(degree)
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         order = checked_int(order, "truncation order", MIN_ORDER)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "order", order)
+        vars(self).update(degree=degree, mode=mode, order=order)
 
 
 def basis_moments(degree: int, order: int = DEFAULT_ORDER) -> list[DerivativeSeries]:
@@ -132,13 +128,8 @@ class ModifiedPDE(Frozen):
     is divided by the leading scale of a_m.
     """
 
-    __slots__ = ("degree", "moment", "mode", "coeffs")
-
     def __init__(self, degree: int, moment: int, mode: str, coeffs: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "moment", moment)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "coeffs", coeffs)
+        vars(self).update(degree=degree, moment=moment, mode=mode, coeffs=coeffs)
 
     def coefficient(self, h_power: int) -> Fraction:
         q = checked_int(h_power, "h_power", 0)

@@ -26,7 +26,7 @@ quartic-field inversion is out of scope and raises ValueError.
 
 The rules both routes share live here too: checked_int and check_finite, the
 input rules for counts and for real settings, and Frozen, the base of every
-value type but QF (the exact StencilSpec, ModifiedPDE and DerivativeSeries,
+value type (QF and the exact StencilSpec, ModifiedPDE and DerivativeSeries,
 and the float route's meshes, bases, fields, integrators and configs).  It
 gives them what a frozen dataclass would, without importing dataclasses.
 """
@@ -96,28 +96,25 @@ class _DataclassFields:
 class Frozen:
     """Base of the frozen value types: a frozen dataclass without generated code.
 
-    A subclass's __init__ validates its arguments and stores them, with
-    vars(self).update or, in a class with __slots__, object.__setattr__;
-    both bypass the frozen __setattr__.  Its fields are that __init__'s
-    parameters, in order, unless the class names them in _fields.  They give
-    repr, == and hash (a class that sets __eq__ and __hash__ to object's
-    compares by identity), and copies and pickles go back through __init__.
-    Assignment and deletion raise dataclasses.FrozenInstanceError.
+    A subclass's __init__ validates its arguments and stores them with
+    vars(self).update, which bypasses the frozen __setattr__.  Its fields
+    are that __init__'s parameters, in order.  They give repr, == and hash
+    (a class that sets __eq__ and __hash__ to object's compares by
+    identity), and copies and pickles go back through __init__.  Assignment
+    and deletion raise dataclasses.FrozenInstanceError.  QF and
+    DerivativeSeries, which their modules also build outside __init__,
+    store a canonical form in slots through the slot descriptors instead.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "_fields" not in vars(cls):
-            code = cls.__init__.__code__
-            cls._fields = code.co_varnames[1 : code.co_argcount]
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
         # one C call reads every field (a single field's value alone): the key of == and hash
         cls._key = attrgetter(*cls._fields)
         cls.__dataclass_fields__ = _DataclassFields()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         from dataclasses import FrozenInstanceError
@@ -143,7 +140,7 @@ class Frozen:
         return hash(self._key(self))
 
     def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
@@ -161,8 +158,12 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-class QF:
-    """Immutable element of Q[sqrt(3), sqrt(5)]."""
+class QF(Frozen):
+    """Immutable element of Q[sqrt(3), sqrt(5)].
+
+    Its fields are the components a, b, c, d; == and hash are its own, so
+    that a rational value equals, and hashes as, its Fraction or int.
+    """
 
     __slots__ = ("_n", "_den")
 
@@ -178,13 +179,6 @@ class QF:
         den = lcm(*(q for _, q in parts))
         _set_n(self, tuple(p * (den // q) for p, q in parts))
         _set_den(self, den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QF values are immutable")
-
-    def __reduce__(self) -> tuple:
-        # the default slot-state restore would go through __setattr__
-        return QF, (self.a, self.b, self.c, self.d)
 
     @property
     def a(self) -> Fraction:
@@ -342,7 +336,7 @@ class QF:
         return " ".join(parts) if parts else "0"
 
 
-# Slot setters that bypass QF.__setattr__; only this module builds values.
+# Slot setters that bypass the frozen __setattr__; only this module builds values.
 _set_n = QF._n.__set__
 _set_den = QF._den.__set__
 

@@ -13,10 +13,11 @@ coefficient/derivative pairing exact while the stencil algebra pulls out
 
 A series is stored the way a QF is: rows[k][p] is the int numerator of
 component k (1, sqrt(3), sqrt(5), sqrt(15)) of c_p, all over one positive
-int denominator den, and the gcd of every entry and den is 1.  That form is
-canonical, so the frozen record (rows, den, h_shift) compares, hashes,
-copies and pickles by value; coeffs is the tuple of QF it derives.  The
-constructor still takes any iterable of int, Fraction or QF coefficients.
+int denominator den, and the gcd of every entry and den is 1.  Like every
+Frozen value, its fields are its constructor's parameters (coeffs, h_shift):
+it compares, hashes, copies and pickles through them, and coeffs is the
+tuple of QF that rows and den derive.  The constructor takes any iterable of
+int, Fraction or QF coefficients.
 
 The only arithmetic is combination, which forms sum_i f_i * s_i for QF
 factors f_i with plain int row operations through the component product
@@ -65,11 +66,11 @@ def _series(rows, den: int, h_shift: int) -> DerivativeSeries:
 class DerivativeSeries(Frozen):
     """Immutable truncated series sum_p c_p * u^(p) * h^(p + h_shift).
 
-    Its fields are the canonical record (rows, den, h_shift), not the
-    constructor's coefficients, so copies and pickles go through _series.
+    Its fields are coeffs and h_shift; it stores the canonical rows and den,
+    which _series, the fast constructor of this module, fills directly.
     """
 
-    __slots__ = _fields = ("rows", "den", "h_shift")
+    __slots__ = ("rows", "den", "h_shift")
 
     def __init__(self, coeffs: Iterable[QF | RationalLike], h_shift: int = 0) -> None:
         values = [QF.coerce(c) for c in coeffs]
@@ -81,9 +82,6 @@ class DerivativeSeries(Frozen):
         _set_rows(self, rows)
         _set_den(self, den)
         _set_h_shift(self, checked_int(h_shift, "h_shift"))
-
-    def __reduce__(self) -> tuple:
-        return _series, self._values()
 
     # -- constructors ------------------------------------------------------
 

@@ -1,10 +1,14 @@
 """Arithmetic in Q(sqrt(3), sqrt(5)) must be exact, closed and total."""
 import copy
 import dataclasses
+import importlib.util
+import inspect
 import math
 import pickle
+import pkgutil
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +412,7 @@ def _integrator(cfl):
 
 
 FROZEN_TYPES = {
+    "QF": (lambda: QF(1, Fraction(1, 2), 0, -3), lambda: QF(1, Fraction(1, 2), 2, -3)),
     "StencilSpec": (lambda: StencilSpec(2, EXACT_POINT, 9), lambda: StencilSpec(2, EXACT_POINT)),
     "ModifiedPDE": (
         lambda: ModifiedPDE(1, 0, UPWIND_TRACE, (Fraction(-1), Fraction(0), Fraction(1, 24))),
@@ -420,9 +425,10 @@ FROZEN_TYPES = {
     "Integrator": (lambda: _integrator(0.2), lambda: _integrator(0.3)),
 }
 FIELDS = {
+    "QF": ("a", "b", "c", "d"),
     "StencilSpec": ("degree", "mode", "order"),
     "ModifiedPDE": ("degree", "moment", "mode", "coeffs"),
-    "DerivativeSeries": ("rows", "den", "h_shift"),
+    "DerivativeSeries": ("coeffs", "h_shift"),
     "Integrator": ("method", "cfl", "t_final"),
 }
 
@@ -455,21 +461,58 @@ def test_frozen_values_copy_and_pickle(kind):
         assert dup == value and hash(dup) == hash(value) and repr(dup) == repr(value)
 
 
+def _record(value):
+    """What dataclasses.asdict makes of value: a Frozen one as a dict of its fields, nested."""
+    if isinstance(value, Frozen):
+        return {name: _record(getattr(value, name)) for name in type(value)._fields}
+    return tuple(map(_record, value)) if type(value) is tuple else value
+
+
 @pytest.mark.parametrize("kind", FROZEN_TYPES)
 def test_frozen_values_answer_the_dataclass_protocol(kind):
     value = FROZEN_TYPES[kind][0]()
     assert dataclasses.is_dataclass(value) and dataclasses.is_dataclass(type(value))
     assert tuple(f.name for f in dataclasses.fields(value)) == FIELDS[kind] == type(value)._fields
-    assert dataclasses.asdict(value) == {name: getattr(value, name) for name in FIELDS[kind]}
-    if kind == "DerivativeSeries":
-        # its fields are the canonical record, not the constructor's coefficients
-        with pytest.raises(TypeError, match="rows"):
-            dataclasses.replace(value)
-        return
+    assert dataclasses.asdict(value) == _record(value)
     assert dataclasses.replace(value) == value
     other = FROZEN_TYPES[kind][1]()
     changed = {name: getattr(other, name) for name in FIELDS[kind]}
     assert dataclasses.replace(value, **changed) == other
+
+
+def test_replace_rebuilds_a_series_from_its_coefficients():
+    unit = DerivativeSeries.unit(2)
+    assert dataclasses.replace(unit, h_shift=1) == DerivativeSeries(unit.coeffs, 1)
+
+
+def _frozen_classes(cls=Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _frozen_classes(sub)
+
+
+def test_every_frozen_class_is_a_record_of_its_constructor():
+    # every module of the package, float route included, so no value type is missed
+    pytest.importorskip("numpy")
+    import dgmodeq
+
+    for info in pkgutil.walk_packages(dgmodeq.__path__, "dgmodeq."):
+        importlib.import_module(info.name)
+    path = Path(__file__).with_name("test_mesh_field.py")
+    spec = importlib.util.spec_from_file_location("_frozen_float_values", path)
+    float_values = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(float_values)
+    samples = {
+        name: make for name, (make, *_) in {**FROZEN_TYPES, **float_values.FROZEN_VALUES}.items()
+    }
+    classes = {c for c in _frozen_classes() if c.__module__.startswith("dgmodeq.")}
+    assert {c.__name__ for c in classes} == samples.keys()
+    for cls in classes:
+        sample = samples[cls.__name__]()
+        assert type(sample) is cls
+        assert cls._fields == tuple(inspect.signature(cls.__init__).parameters)[1:]
+        rebuilt = dataclasses.replace(sample)
+        assert type(rebuilt) is cls and repr(rebuilt) == repr(sample)
 
 
 def test_frozen_base_is_no_dataclass_and_subclasses_keep_their_own_fields():
