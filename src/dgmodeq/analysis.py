@@ -21,7 +21,6 @@ where the energy-norm growth is 2.2e-4 (N=20) to 5.2e-3 (N=320).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, groupby, islice
 from math import inf, isfinite, isnan, nan
 from operator import itemgetter
@@ -518,7 +517,9 @@ def check_residual(table: ResultTable) -> list[str]:
     names = ("estimator", "mode", "moment", "h_power", "N", "exact", "measured")
     for estimator, mode, m, q, n, exact, measured in zip(*map(table.column, names)):
         if estimator == "grid":
-            fits.setdefault((mode, m, q), []).append((n, float(Fraction(exact)), measured))
+            # exact is str(Fraction), such as -2/5; int / int rounds as float(Fraction) does
+            num, _, den = exact.partition("/")
+            fits.setdefault((mode, m, q), []).append((n, int(num) / int(den or 1), measured))
     failures = []
     for (mode, m, q), rows in fits.items():
         for n, exact, measured in rows[-CHECK_GRIDS:]:

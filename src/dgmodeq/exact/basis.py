@@ -17,10 +17,13 @@ entries are rounded at a single site; the exact laws (modeq) never read them.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .numbers import ONE, QF, SQRT3, SQRT5, ZERO, checked_int
+from .numbers import ONE, QF, SQRT3, SQRT5, ZERO, RationalLike, checked_int
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_DEGREE = 2
 
@@ -31,7 +34,7 @@ _BASIS_POLYS: dict[int, tuple[tuple[QF, ...], ...]] = {
     2: (
         (ONE,),
         (ZERO, QF(2) * SQRT3),
-        (QF(Fraction(-1, 2)) * SQRT5, ZERO, QF(6) * SQRT5),
+        (-SQRT5 / 2, ZERO, QF(6) * SQRT5),
     ),
 }
 
@@ -48,16 +51,20 @@ def basis_polynomials(degree: int) -> tuple[tuple[QF, ...], ...]:
 
 def xi_moment(p: int) -> Fraction:
     """Integral of xi^p over [-1/2, 1/2]: zero for odd p, 2^-p/(p+1) even."""
+    return _xi_moment(p).rational_value()
+
+
+def _xi_moment(p: int) -> QF:
+    """xi_moment(p) as a QF, which the exact derivations use."""
     p = checked_int(p, "moment order", 0)
-    if p % 2 == 1:
-        return Fraction(0)
-    return Fraction(1, (p + 1) * 2**p)
+    return ZERO if p % 2 else ONE / ((p + 1) * 2**p)
 
 
-def poly_eval(poly: tuple[QF, ...], xi: Fraction) -> QF:
+def poly_eval(poly: tuple[QF, ...], xi: QF | RationalLike) -> QF:
+    xi = QF.coerce(xi)
     acc = ZERO
     for k in range(len(poly) - 1, -1, -1):
-        acc = acc * QF.coerce(xi) + poly[k]
+        acc = acc * xi + poly[k]
     return acc
 
 
@@ -72,7 +79,7 @@ def poly_moment(poly: tuple[QF, ...], p: int) -> QF:
     acc = ZERO
     for k, coeff in enumerate(poly):
         if not coeff.is_zero():
-            acc = acc + coeff * QF.coerce(xi_moment(k + p))
+            acc = acc + coeff * _xi_moment(k + p)
     return acc
 
 
@@ -102,7 +109,7 @@ def trace_vector(degree: int, side: int) -> tuple[QF, ...]:
     side = checked_int(side, "side", -1, 1)
     if not side:
         raise ValueError("side must be +1 or -1, got 0")
-    xi = Fraction(side, 2)
+    xi = QF(side) / 2
     return tuple(poly_eval(p, xi) for p in basis_polynomials(degree))
 
 

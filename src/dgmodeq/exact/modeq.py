@@ -23,22 +23,26 @@ check_taylor holds the laws and the series to frozen values.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .basis import (
+    _xi_moment,
     basis_polynomials,
     check_degree,
     mass_diagonal,
     trace_vector,
     weak_form_rows,
-    xi_moment,
 )
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap it where it wraps the others.
 from .basis import update_matrices_exact  # noqa: F401
-from .numbers import QF, Frozen, checked_int
-from .series import DerivativeSeries, _inv_factorial
+from .numbers import ONE, QF, Frozen, checked_int
+from .series import DerivativeSeries
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Interface-value modes for the symbolic stencil.
 UPWIND_TRACE = "upwind-trace"
@@ -85,7 +89,7 @@ def basis_moments(degree: int, order: int = DEFAULT_ORDER) -> list[DerivativeSer
 @lru_cache(maxsize=None)
 def _monomial_series(k: int, order: int) -> DerivativeSeries:
     """S_k, the series of the cell integral of xi^k u(x + xi*h): c_p = xi_moment(k + p) / p!."""
-    return DerivativeSeries([xi_moment(k + p) * _inv_factorial(p) for p in range(order + 1)])
+    return DerivativeSeries([_xi_moment(k + p) / factorial(p) for p in range(order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +111,7 @@ def modified_equation(spec: StencilSpec) -> list[DerivativeSeries]:
         u_left = u_right.shift(-1)
     else:
         unit = DerivativeSeries.unit(spec.order)
-        u_right, u_left = unit.shift(Fraction(1, 2)), unit.shift(Fraction(-1, 2))
+        u_right, u_left = unit._shift(1, 2), unit._shift(-1, 2)
     # -(tr[m] U_R - tl[m] U_L - sum_n V[m][n] a_n) / M_m, then the 1/h
     operands = (u_right, u_left, *moments)
     return [
@@ -185,6 +189,8 @@ def moment_evolution_laws(spec: StencilSpec) -> list[ModifiedPDE]:
 
 @lru_cache(maxsize=None)
 def _evolution_laws(spec: StencilSpec) -> tuple[ModifiedPDE, ...]:
+    from fractions import Fraction
+
     out = []
     # the moment series modified_equation reads, so no other order's series are built
     moments = _basis_moments(spec.degree, spec.order)
@@ -225,8 +231,8 @@ def correction_series(order: int = DEFAULT_ORDER) -> DerivativeSeries:
 def _correction_series(order: int) -> DerivativeSeries:
     unit = DerivativeSeries.unit(order)
     # h^2 u''/2, which the division by h^2 turns into u''/2
-    half_uxx = DerivativeSeries([0, 0, Fraction(1, 2)] + [0] * (order - 2))
-    up, down = unit.shift(Fraction(1, 2)), unit.shift(Fraction(-1, 2))
+    half_uxx = DerivativeSeries([0, 0, ONE / 2] + [0] * (order - 2))
+    up, down = unit._shift(1, 2), unit._shift(-1, 2)
     return DerivativeSeries.combination([(2, up), (2, down), (-4, unit), (-1, half_uxx)]).div_h(2)
 
 
@@ -255,16 +261,16 @@ def taylor_statements() -> list[str]:
 
 #: Frozen h-power coefficients of the exact laws, keyed by (degree, mode, moment).
 _FROZEN_LAWS = {
-    (1, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(1, 24)},
-    (1, UPWIND_TRACE, 1): {0: Fraction(0), 1: Fraction(-2, 5)},
-    (1, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
-    (1, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
-    (2, UPWIND_TRACE, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
-    (2, UPWIND_TRACE, 1): {0: Fraction(-1), 1: Fraction(1, 10)},
-    (2, UPWIND_TRACE, 2): {0: Fraction(-1), 1: Fraction(1, 2)},
-    (2, EXACT_POINT, 0): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 24)},
-    (2, EXACT_POINT, 1): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 40)},
-    (2, EXACT_POINT, 2): {0: Fraction(-1), 1: Fraction(0), 2: Fraction(-1, 56)},
+    (1, UPWIND_TRACE, 0): {0: -1, 1: 0, 2: ONE / 24},
+    (1, UPWIND_TRACE, 1): {0: 0, 1: QF(-2) / 5},
+    (1, EXACT_POINT, 0): {0: -1, 1: 0, 2: -ONE / 24},
+    (1, EXACT_POINT, 1): {0: -1, 1: 0, 2: -ONE / 40},
+    (2, UPWIND_TRACE, 0): {0: -1, 1: 0, 2: -ONE / 24},
+    (2, UPWIND_TRACE, 1): {0: -1, 1: ONE / 10},
+    (2, UPWIND_TRACE, 2): {0: -1, 1: ONE / 2},
+    (2, EXACT_POINT, 0): {0: -1, 1: 0, 2: -ONE / 24},
+    (2, EXACT_POINT, 1): {0: -1, 1: 0, 2: -ONE / 40},
+    (2, EXACT_POINT, 2): {0: -1, 1: 0, 2: -ONE / 56},
 }
 
 
@@ -284,6 +290,6 @@ def check_taylor() -> list[str]:
     if statement != wanted_statement:
         failures.append(f"degenerate first-moment law renders as {statement!r}")
     lead = correction_series().leading()
-    if lead is None or lead[0] != 4 or lead[1].rational_value() != Fraction(1, 96):
+    if lead is None or lead[0] != 4 or lead[1] != ONE / 96:
         failures.append(f"correction series leads with {lead}, expected h^2 coefficient 1/96")
     return failures

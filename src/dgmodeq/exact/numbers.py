@@ -17,7 +17,9 @@ math.gcd normalisation; products loop over the nonzero components of
 each operand only, through that table.  Fractions appear only at the
 boundary: QF(...) and coerce accept any numbers.Rational that is not a
 bool (int, Fraction, numpy integers), stored as plain ints, and the a, b,
-c, d components and rational_value() are Fractions.
+c, d components and rational_value() are Fractions.  Only those calls,
+and repr, import fractions (which loads decimal); str, ==, hash and the
+arithmetic work on the ints, so importing the package loads neither.
 
 x / y is x * y.reciprocal(), and reciprocal() is restricted to
 single-component values, rationals included (the only reciprocals the
@@ -32,16 +34,21 @@ gives them what a frozen dataclass would, without importing dataclasses.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, inf, lcm, sqrt
 from numbers import Integral, Rational, Real
 from operator import attrgetter
+from sys import hash_info
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _SQRT3 = sqrt(3.0)
 _SQRT5 = sqrt(5.0)
 _SQRT15 = sqrt(15.0)
 
-RationalLike = int | Fraction
+#: What QF and coerce take besides a QF: any Rational that is not a bool.
+RationalLike = int | Rational
 
 _ZERO_N = (0, 0, 0, 0)
 
@@ -150,12 +157,26 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
     """
     if type(value) is int:
         return value, 1
-    if type(value) is Fraction:
-        return value.numerator, value.denominator
     if isinstance(value, Rational) and not isinstance(value, bool):
-        value = Fraction(int(value.numerator), int(value.denominator))
-        return value.numerator, value.denominator
+        num, den = int(value.numerator), int(value.denominator)
+        if not den:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        return num // g, den // g
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _rational_hash(num: int, den: int) -> int:
+    """hash(Fraction(num, den)) for num/den in lowest terms, den > 0.
+
+    This is the language's hash of a rational number (the "Hashing of
+    numeric types" section of the standard types reference), which int,
+    Fraction, float and Decimal all follow.
+    """
+    modulus = hash_info.modulus
+    value = abs(num) * pow(den, -1, modulus) % modulus if den % modulus else hash_info.inf
+    value = value if num >= 0 else -value
+    return -2 if value == -1 else value
 
 
 class QF(Frozen):
@@ -183,22 +204,28 @@ class QF(Frozen):
     @property
     def a(self) -> Fraction:
         """Rational component."""
-        return Fraction(self._n[0], self._den)
+        return self._fraction(0)
 
     @property
     def b(self) -> Fraction:
         """sqrt(3) component."""
-        return Fraction(self._n[1], self._den)
+        return self._fraction(1)
 
     @property
     def c(self) -> Fraction:
         """sqrt(5) component."""
-        return Fraction(self._n[2], self._den)
+        return self._fraction(2)
 
     @property
     def d(self) -> Fraction:
         """sqrt(15) component."""
-        return Fraction(self._n[3], self._den)
+        return self._fraction(3)
+
+    def _fraction(self, k: int) -> Fraction:
+        """Component k as a Fraction, importing fractions on the first call that hands one out."""
+        from fractions import Fraction
+
+        return Fraction(self._n[k], self._den)
 
     @classmethod
     def coerce(cls, value: QF | RationalLike) -> QF:
@@ -293,8 +320,8 @@ class QF(Frozen):
     def __hash__(self) -> int:
         # equal to hash(q) for a rational value q, since QF(q) == q
         if self.is_rational():
-            return hash(self.a)
-        return hash((self.a, self.b, self.c, self.d))
+            return _rational_hash(self._n[0], self._den)
+        return hash((self._n, self._den))
 
     def __bool__(self) -> bool:
         return self._n != _ZERO_N
@@ -307,23 +334,24 @@ class QF(Frozen):
         return n0 / den + (n1 / den) * _SQRT3 + (n2 / den) * _SQRT5 + (n3 / den) * _SQRT15
 
     def __repr__(self) -> str:
-        return f"QF({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
+        from fractions import Fraction
+
+        den = self._den
+        return "QF({!r}, {!r}, {!r}, {!r})".format(*(Fraction(x, den) for x in self._n))
 
     def __str__(self) -> str:
         parts: list[str] = []
-        for comp, name in (
-            (self.a, None),
-            (self.b, "sqrt(3)"),
-            (self.c, "sqrt(5)"),
-            (self.d, "sqrt(15)"),
-        ):
-            if comp == 0:
+        for x, name in zip(self._n, (None, "sqrt(3)", "sqrt(5)", "sqrt(15)")):
+            if not x:
                 continue
+            # the component in lowest terms, written as str(Fraction) writes it
+            g = gcd(x, self._den)
+            comp = str(x // g) if g == self._den else f"{x // g}/{self._den // g}"
             if name is None:
-                text = str(comp)
-            elif comp == 1:
+                text = comp
+            elif comp == "1":
                 text = name
-            elif comp == -1:
+            elif comp == "-1":
                 text = f"-{name}"
             else:
                 text = f"{comp}*{name}"

@@ -30,23 +30,23 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
 from .numbers import _PRODUCT, ONE, QF, ZERO, Frozen, RationalLike, _ratio, _reduced, checked_int
 
 
-def _inv_factorial(n: int) -> Fraction:
-    return Fraction(1, math.factorial(n))
-
-
 @lru_cache(maxsize=None)
-def _taylor_weights(off: Fraction, n: int) -> tuple[tuple[int, ...], int]:
-    """The Taylor weights off**q / q! for q < n, as int numerators over one denominator."""
-    weights = [off**q * _inv_factorial(q) for q in range(n)]
-    den = math.lcm(*(w.denominator for w in weights))
-    return tuple(w.numerator * (den // w.denominator) for w in weights), den
+def _taylor_weights(num: int, den: int, n: int) -> tuple[tuple[int, ...], int]:
+    """The Taylor weights (num/den)**q / q! for q < n, as int numerators over one denominator.
+
+    That denominator, den**(n-1) * (n-1)!, need not be the least; shift's
+    result is brought to lowest terms anyway.
+    """
+    last = n - 1
+    fact = math.factorial(last)
+    weights = tuple(num**q * den ** (last - q) * (fact // math.factorial(q)) for q in range(n))
+    return weights, den**last * fact
 
 
 def _series(rows, den: int, h_shift: int) -> DerivativeSeries:
@@ -160,7 +160,7 @@ class DerivativeSeries(Frozen):
 
     # -- algebra -----------------------------------------------------------
 
-    def shift(self, offset: Fraction | int) -> DerivativeSeries:
+    def shift(self, offset: RationalLike) -> DerivativeSeries:
         """Re-expand the series about x + offset*h (exact Taylor shift).
 
         u^(p)(x + offset*h) = sum_q u^(p+q)(x) * (offset*h)^q / q!, so the
@@ -169,8 +169,12 @@ class DerivativeSeries(Frozen):
         rule of QF: an int or Fraction (any Rational but a bool), never a
         float or a string.
         """
+        return self._shift(*_ratio(offset))
+
+    def _shift(self, num: int, den: int) -> DerivativeSeries:
+        """shift by num/den, given in lowest terms with den > 0."""
         n = len(self.rows[0])
-        weights, w_den = _taylor_weights(Fraction(*_ratio(offset)), n)
+        weights, w_den = _taylor_weights(num, den, n)
         out = []
         for row in self.rows:
             terms = [(p, x) for p, x in enumerate(row) if x]

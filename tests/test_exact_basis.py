@@ -39,6 +39,19 @@ def test_xi_moments():
     assert xi_moment(6) == Fraction(1, 448)
 
 
+def test_xi_moments_are_fractions():
+    for p in range(12):
+        moment = xi_moment(p)
+        assert type(moment) is Fraction
+        assert moment == (0 if p % 2 else Fraction(1, (p + 1) * 2**p))
+
+
+def test_poly_eval_takes_ints_fractions_and_qf():
+    for poly in basis_polynomials(2):
+        for xi in (0, 1, Fraction(-1, 2), Fraction(1, 3)):
+            assert poly_eval(poly, xi) == poly_eval(poly, QF(xi))
+
+
 def test_mass_diagonals():
     assert mass_diagonal(0) == (R(1),)
     assert mass_diagonal(1) == (R(1), R(1, 12))

@@ -7,7 +7,10 @@ nothing.  The package's top level resolves its float names lazily, so
 `import dgmodeq`, `dgmodeq.exact` and `dgmodeq taylor` load no numpy.  The
 value types of both routes derive from exact.numbers.Frozen, which imports
 dataclasses only when a caller asks for its protocol, so no route loads
-dataclasses either.  Those checks run in fresh interpreters.
+dataclasses either.  The exact core computes in ints and imports fractions
+(which loads decimal) only where it hands a Fraction out, so the imports and
+the convergence, compare and spectrum studies load neither.  Those checks
+run in fresh interpreters.
 """
 import ast
 import os
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import dgmodeq
+from dgmodeq.schemes import SCHEMES
 
 PACKAGE = "dgmodeq.exact"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -104,6 +108,52 @@ def fresh(code: str) -> list[str]:
 def test_exact_route_loads_no_numpy(statement, tail):
     lines = fresh(f"import sys; {statement}; print(sorted({{'numpy', 'dataclasses'}} & set(sys.modules)))")
     assert lines[-len(tail) - 1 :] == [*tail, "[]"]
+
+
+NO_FRACTIONS = "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+
+
+@pytest.mark.parametrize("module", ["dgmodeq", "dgmodeq.exact", "dgmodeq.analysis"])
+def test_import_loads_no_fractions(module):
+    assert fresh(f"import sys, {module}; {NO_FRACTIONS}") == ["[]"]
+
+
+def _cli_runs(*argvs: list[str]) -> str:
+    """Code that runs each argv through cli.main with stdout muted and prints the return codes."""
+    return (
+        "import contextlib, io, sys\n"
+        "import dgmodeq.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [c.main(argv) for argv in {list(argvs)!r}]\n"
+        "print(codes)\n"
+    )
+
+
+def test_convergence_route_loads_no_fractions():
+    # every scheme, with its check, then compare and spectrum, in one interpreter
+    argvs = [["convergence", "--scheme", scheme, "--assert"] for scheme in SCHEMES]
+    argvs += [["compare", "--assert"], ["spectrum", "--assert"]]
+    assert fresh(_cli_runs(*argvs) + NO_FRACTIONS) == [str([0] * len(argvs)), "[]"]
+
+
+def test_fraction_routes_still_pass():
+    # taylor, residual and correction hand out Fractions, so they may load fractions
+    argvs = [["taylor", "--assert"], ["residual", "--assert"], ["correction", "--assert"]]
+    assert fresh(_cli_runs(*argvs)) == ["[0, 0, 0]"]
+
+
+def test_exact_core_loads_fractions_only_at_the_boundary():
+    code = (
+        "import sys\n"
+        "from dgmodeq.exact import QF, DerivativeSeries, basis_moments, update_matrices_exact\n"
+        "x = QF(1, 2, 0, 3) / 4 * QF(0, 1)\n"
+        "s = DerivativeSeries.unit(6).shift(-1)\n"
+        "update_matrices_exact(2), basis_moments(2)\n"
+        "hash(x), hash(QF(3) / 7), str(x), float(x), x == 3, repr(s), s.leading()\n"
+        f"{NO_FRACTIONS}\n"
+        "print(type(x.b).__name__, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    assert fresh(code) == ["[]", "Fraction ['decimal', 'fractions']"]
 
 
 def test_float_route_loads_no_dataclasses():

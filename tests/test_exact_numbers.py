@@ -7,12 +7,24 @@ import math
 import pickle
 import pkgutil
 import random
+import sys
 from fractions import Fraction
+from numbers import Rational
 from pathlib import Path
 
 import pytest
 
-from dgmodeq.exact import EXACT_POINT, QF, UPWIND_TRACE, DerivativeSeries, ModifiedPDE, StencilSpec
+from dgmodeq.exact import (
+    EXACT_POINT,
+    MODES,
+    QF,
+    UPWIND_TRACE,
+    DerivativeSeries,
+    ModifiedPDE,
+    StencilSpec,
+    correction_series,
+    moment_evolution_laws,
+)
 from dgmodeq.exact.numbers import ONE, SQRT3, SQRT5, SQRT15, ZERO, Frozen, checked_int
 
 
@@ -529,3 +541,83 @@ def test_frozen_base_is_no_dataclass_and_subclasses_keep_their_own_fields():
     assert [f.name for f in dataclasses.fields(Labelled)] == ["x", "label"]
     assert dataclasses.replace(Labelled(1, "a"), label="b") == Labelled(1, "b")
     assert Point(1) != Labelled(1, "a") and Point(1) == Point(1)
+
+
+# ----------------------------------------------------------------------
+# the Fraction boundary: the core computes in ints, its public values are Fractions
+
+
+def test_components_and_rational_value_are_fractions():
+    x = QF(Fraction(1, 2), -3, Fraction(2, 6), 0)
+    parts = (x.a, x.b, x.c, x.d)
+    assert parts == (Fraction(1, 2), Fraction(-3), Fraction(1, 3), Fraction(0))
+    assert all(type(c) is Fraction for c in parts)
+    value = R(-6, 4).rational_value()
+    assert type(value) is Fraction and value == Fraction(-3, 2)
+
+
+def test_laws_and_correction_lead_are_fractions():
+    for degree in (0, 1, 2):
+        for mode in MODES:
+            for law in moment_evolution_laws(StencilSpec(degree, mode)):
+                assert all(type(c) is Fraction for c in law.coeffs), law
+    law = moment_evolution_laws(StencilSpec(1, UPWIND_TRACE))[1]
+    assert law.coeffs[:2] == (Fraction(0), Fraction(-2, 5))
+    lead = correction_series().leading()[1].rational_value()
+    assert type(lead) is Fraction and lead == Fraction(1, 96)
+
+
+def test_rational_hash_is_the_numeric_hash():
+    modulus = sys.hash_info.modulus
+    values = [0, 1, -1, -2, modulus, -modulus, modulus - 1, 2**64 + 3, Fraction(-1, 2),
+              Fraction(1, modulus), Fraction(-3, 2 * modulus), Fraction(modulus, 7),
+              Fraction(2**70 + 1, 3**40)]
+    for value in values:
+        assert QF(value) == value and hash(QF(value)) == hash(value), value
+
+
+def test_numpy_integers_hash_as_their_values():
+    np = pytest.importorskip("numpy")
+    for value in (np.int64(-7), np.int64(-1), np.int32(12), np.uint8(200)):
+        assert hash(QF(value)) == hash(value) == hash(int(value))
+
+
+def test_irrational_hash_is_the_stored_record():
+    x = QF(Fraction(1, 2), 3, 0, Fraction(-5, 7))
+    assert hash(x) == hash((x._n, x._den))
+    for dup in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert dup == x and hash(dup) == hash(x)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [(lambda np: True, "bool"), (lambda np: 0.5, "float"), (lambda np: "1", "str"),
+     (lambda np: np.float64(0.5), "float64")],
+    ids=["True", "0.5", "'1'", "float64"],
+)
+def test_non_rationals_name_their_type(make, name):
+    value = make(pytest.importorskip("numpy") if name == "float64" else None)
+    message = f"^expected an int or Fraction, got {name}$"
+    for build in (lambda: QF(value), lambda: QF.coerce(value)):
+        with pytest.raises(TypeError, match=message):
+            build()
+    if name == "float":
+        with pytest.raises(TypeError, match=message):
+            DerivativeSeries.unit(3).shift(value)
+
+
+class _Ratio:
+    """A bare Rational: numerator and denominator, not necessarily in lowest terms."""
+
+    def __init__(self, numerator, denominator):
+        self.numerator, self.denominator = numerator, denominator
+
+
+Rational.register(_Ratio)
+
+
+def test_other_rationals_are_stored_in_lowest_terms():
+    x = QF(_Ratio(2, -4))
+    assert x == Fraction(-1, 2) and (x._n, x._den) == ((-1, 0, 0, 0), 2)
+    with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
+        QF(_Ratio(1, 0))
