@@ -647,7 +647,8 @@ def run_correction(grids: Sequence[int] = DEFAULT_GRIDS) -> ResultTable:
         raise ValueError("correction study needs at least 2 cells: on 1 cell sin(2 pi x_j) is zero")
     series = correction_series()
     lead = series.leading()
-    assert lead is not None
+    if lead is None:
+        raise ValueError(f"correction series {series!r} has no leading term")
     p_lead, c_lead = lead
     exact = float(c_lead)
     table = ResultTable("correction", _CORRECTION_COLUMNS)

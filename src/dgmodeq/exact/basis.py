@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .numbers import ONE, QF, SQRT3, SQRT5, ZERO, RationalLike, checked_int
+from .numbers import ONE, QF, SQRT3, SQRT5, ZERO, RationalLike, _new, checked_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -54,10 +54,13 @@ def xi_moment(p: int) -> Fraction:
     return _xi_moment(p).rational_value()
 
 
-def _xi_moment(p: int) -> QF:
-    """xi_moment(p) as a QF, which the exact derivations use."""
+def _xi_moment(p: int, over: int = 1) -> QF:
+    """xi_moment(p) / over as a QF, which the exact derivations use; over is a positive int.
+
+    An even moment 1/((p+1) * 2^p * over) is built in lowest terms, a numerator of 1.
+    """
     p = checked_int(p, "moment order", 0)
-    return ZERO if p % 2 else ONE / ((p + 1) * 2**p)
+    return ZERO if p % 2 else _new((1, 0, 0, 0), ((p + 1) * over) << p)
 
 
 def poly_eval(poly: tuple[QF, ...], xi: QF | RationalLike) -> QF:
@@ -109,7 +112,7 @@ def trace_vector(degree: int, side: int) -> tuple[QF, ...]:
     side = checked_int(side, "side", -1, 1)
     if not side:
         raise ValueError("side must be +1 or -1, got 0")
-    xi = QF(side) / 2
+    xi = _new((side, 0, 0, 0), 2)
     return tuple(poly_eval(p, xi) for p in basis_polynomials(degree))
 
 

@@ -13,8 +13,12 @@ entries exact.  The component product table is closed:
     sqrt(15)**2      = 15
 
 Sums, differences and products are plain int work followed by one
-math.gcd normalisation; products loop over the nonzero components of
-each operand only, through that table.  Fractions appear only at the
+math.gcd normalisation.  A product is that table written out as one
+straight-line int formula, 16 int products; _PRODUCT stays the one table
+that DerivativeSeries.combination and reciprocal read, and a test expands
+every product through it.  A value built by _new skips the gcd, so it must
+already be in lowest terms (the exact basis builds its constants that way,
+with numerator 1 or +-1).  Fractions appear only at the
 boundary: QF(...) and coerce accept any numbers.Rational that is not a
 bool (int, Fraction, numpy integers), stored as plain ints, and the a, b,
 c, d components and rational_value() are Fractions.  Only those calls,
@@ -276,14 +280,16 @@ class QF(Frozen):
 
     def __mul__(self, other: QF | RationalLike) -> QF:
         o = other if isinstance(other, QF) else QF.coerce(other)
-        right = [(j, y) for j, y in enumerate(o._n) if y]
-        acc = [0, 0, 0, 0]
-        for x, row in zip(self._n, _PRODUCT):
-            if x:
-                for j, y in right:
-                    k, f = row[j]
-                    acc[k] += x * y * f
-        return _reduced(*acc, self._den * o._den)
+        x0, x1, x2, x3 = self._n
+        y0, y1, y2, y3 = o._n
+        # _PRODUCT written out: component k collects every x_i * y_j that _PRODUCT sends to k
+        return _reduced(
+            x0 * y0 + 3 * x1 * y1 + 5 * x2 * y2 + 15 * x3 * y3,
+            x0 * y1 + x1 * y0 + 5 * (x2 * y3 + x3 * y2),
+            x0 * y2 + x2 * y0 + 3 * (x1 * y3 + x3 * y1),
+            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+            self._den * o._den,
+        )
 
     __rmul__ = __mul__
 

@@ -2,6 +2,7 @@
 import argparse
 import importlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 import dgmodeq
 from dgmodeq import (
     RunConfig,
+    analysis,
     fitted_l2_orders,
     run_compare,
     run_convergence,
@@ -40,7 +42,7 @@ from dgmodeq.analysis import (
 from dgmodeq.basis import QUAD_NODES, QUAD_WEIGHTS, ModalBasis
 from dgmodeq.cli import build_parser, main, parse_config_file
 from dgmodeq.dg import rhs_matrix, rhs_weak, symbol
-from dgmodeq.exact import UPWIND_TRACE, check_taylor, moment_leading_scale
+from dgmodeq.exact import UPWIND_TRACE, DerivativeSeries, check_taylor, moment_leading_scale
 from dgmodeq.field import ModalField, project
 from dgmodeq.mesh import Mesh1D
 
@@ -479,6 +481,17 @@ def test_correction_requires_doubling(grids):
     # its ratio column and the 4.0 +- 0.1 decay band assume a doubling ladder
     with pytest.raises(ValueError):
         run_correction(grids)
+
+
+def test_correction_without_a_leading_term_is_refused(monkeypatch, capsys):
+    # a ValueError, not an assert statement, so `python -O` refuses it too
+    zero = DerivativeSeries([0] * 9, -2)
+    monkeypatch.setattr(analysis, "correction_series", lambda: zero)
+    message = "correction series <series 0 + O(h^7)> has no leading term"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_correction((20, 40))
+    assert main(["correction", "--grids", "20,40"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("grids, code", [("40,20", 2), ("20,30", 2), ("20", 1)])

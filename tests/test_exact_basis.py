@@ -4,7 +4,9 @@ The matrix literals asserted here were derived by hand from the weak form
 and double-checked with an independent computer-algebra run before being
 frozen; the assembly code must reproduce them entry for entry.
 """
+import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -24,6 +26,8 @@ from dgmodeq.exact.basis import (
     weak_form_rows,
     xi_moment,
 )
+from dgmodeq.exact.modeq import _monomial_series
+from dgmodeq.exact.numbers import ONE, ZERO
 
 
 def R(p, q=1):
@@ -44,6 +48,41 @@ def test_xi_moments_are_fractions():
         moment = xi_moment(p)
         assert type(moment) is Fraction
         assert moment == (0 if p % 2 else Fraction(1, (p + 1) * 2**p))
+
+
+def _canonical(q):
+    """The stored form every QF keeps: a positive denominator, gcd of all five 1."""
+    return q._den > 0 and math.gcd(*q._n, q._den) == 1
+
+
+def test_xi_moment_is_built_in_lowest_terms():
+    # == compares the stored numerators, so an unreduced moment would differ here
+    for p in range(41):
+        got = exact_basis._xi_moment(p)
+        assert got == (ZERO if p % 2 else ONE / ((p + 1) * 2**p)), p
+        assert _canonical(got), (p, got._n, got._den)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_basis_constants_are_in_lowest_terms(degree):
+    a_mat, b_mat = update_matrices_exact(degree)
+    values = [
+        *trace_vector(degree, +1),
+        *trace_vector(degree, -1),
+        *mass_diagonal(degree),
+        *chain(*volume_matrix(degree), *weak_form_rows(degree), *a_mat, *b_mat),
+    ]
+    assert [(q._n, q._den) for q in values if not _canonical(q)] == []
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_monomial_series_are_in_lowest_terms(k):
+    for order in range(5, 13):
+        series = _monomial_series(k, order)
+        assert series.den > 0 and math.gcd(series.den, *chain(*series.rows)) == 1, (k, order)
+        assert all(_canonical(q) for q in series.coeffs)
+        wanted = tuple(exact_basis._xi_moment(k + p) / math.factorial(p) for p in range(order + 1))
+        assert series.coeffs == wanted, (k, order)
 
 
 def test_poly_eval_takes_ints_fractions_and_qf():

@@ -7,8 +7,12 @@ with either derivation.
 """
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -368,11 +372,23 @@ def _correction_leading_1_48(monkeypatch):
     monkeypatch.setattr(modeq, "correction_series", lambda: doubled)
 
 
+def _correction_leading_surd(monkeypatch):
+    scaled = DerivativeSeries.combination([(SQ3, correction_series())])
+    monkeypatch.setattr(modeq, "correction_series", lambda: scaled)
+
+
+def _correction_series_zero(monkeypatch):
+    monkeypatch.setattr(modeq, "correction_series", lambda: DerivativeSeries([0] * 9, -2))
+
+
 @pytest.mark.parametrize("fault, failure", [
     (_law_off_at_h2, "k=2 exact-point a2: h^2 coefficient 55/56, expected -1/56"),
     (_primed_derivative_names,
      "degenerate first-moment law renders as \"u't = 0*u'' + (-2/5)*h*u''' + O(h^2)\""),
     (_correction_leading_1_48, "correction series leads with (4, QF(Fraction(1, 48), "),
+    (_correction_leading_surd,
+     "correction series leads with (4, QF(Fraction(0, 1), Fraction(1, 96), "),
+    (_correction_series_zero, "correction series leads with None, expected h^2 coefficient 1/96"),
 ])
 def test_check_taylor_reports_each_fault_once(monkeypatch, capsys, fault, failure):
     fault(monkeypatch)
@@ -381,6 +397,30 @@ def test_check_taylor_reports_each_fault_once(monkeypatch, capsys, fault, failur
     assert cli.main(["taylor", "--assert"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith(("FAIL", "PASS"))] == [f"FAIL: {failures[0]}"]
+
+
+_ZERO_CORRECTION = """
+import sys
+from dgmodeq import cli
+from dgmodeq.exact import DerivativeSeries, modeq
+modeq.correction_series = lambda: DerivativeSeries([0] * 9, -2)
+sys.exit(cli.main(["taylor", "--assert"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "no-asserts"])
+def test_zero_correction_series_fails_by_verdict(flags):
+    # the verdict fails it, not an assert statement, so `python -O` exits alike
+    env = {**os.environ, "PYTHONPATH": str(Path(modeq.__file__).parents[2]), "PYTHONWARNINGS": "error"}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _ZERO_CORRECTION], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "correction: C = 0 + O(h^7)" in lines
+    assert [line for line in lines if line.startswith(("FAIL", "PASS"))] == [
+        "FAIL: correction series leads with None, expected h^2 coefficient 1/96"
+    ]
 
 
 # ----------------------------------------------------------------------
