@@ -42,7 +42,7 @@ from .exact import (
 )
 from .exact.basis import check_degree
 from .exact.modeq import derivative_name
-from .exact.numbers import Frozen, check_finite, checked_int
+from .exact.numbers import Frozen, check_finite, checked_choice, checked_int
 from .field import ModalField, Norms, error_norms, project
 from .fv import average_error_norms, fv_stencil, project_averages
 # Not called here, but kept importable from this module so the benchmark's
@@ -168,13 +168,11 @@ class RunConfig(Frozen):
         ic: str = "sine",
         integrator: str = "ssprk3",
     ) -> None:
-        if scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        scheme = checked_choice(scheme, "scheme", SCHEMES)
         grids = _checked_grids(grids)
         check_finite(cfl, "cfl")
         check_finite(periods, "periods", zero_ok=True)
-        if integrator not in METHODS:
-            raise ValueError(f"integrator must be one of {METHODS}")
+        integrator = checked_choice(integrator, "integrator", METHODS)
         initial_condition(ic)  # validates the spec string
         vars(self).update(
             scheme=scheme, grids=grids, cfl=cfl, periods=periods, ic=ic, integrator=integrator

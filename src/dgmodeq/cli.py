@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .exact import check_taylor, correction_series, taylor_statements
+from .exact.numbers import checked_choice
 from .schemes import DG_DEGREE, METHODS, SCHEMES
 
 #: fv1 is the P0 DG stencil {0: -1, -1: 1}, so its spectrum is degree 0's.
@@ -55,13 +56,15 @@ def _parse_out(text: str) -> str:
 #: Every setting a subcommand can read: the parser of its value (a config
 #: file's text, or the flag's value) and the keywords of its flag.
 _SETTINGS = {
-    "scheme": (str, {"choices": SCHEMES, "help": "spatial scheme (default dg-p1); spectrum takes"
-                     " dg-p1, dg-p2 or fv1, and covers all degrees when left out"}),
+    "scheme": (lambda text: checked_choice(text, "scheme", SCHEMES), {"choices": SCHEMES, "help":
+               "spatial scheme (default dg-p1); spectrum takes dg-p1, dg-p2 or fv1, and covers all"
+               " degrees when left out"}),
     "grids": (_parse_grids, {"help": "comma separated cell counts, e.g. 20,40,80"}),
     "cfl": (float, {"type": float, "help": "time step per cell width (default 0.1)"}),
     "periods": (float, {"type": float, "help": "number of domain traversals (default 1)"}),
     "ic": (str, {"help": "initial profile: sine, gauss:SIGMA or step"}),
-    "integrator": (str, {"choices": METHODS, "help": "time stepper (default ssprk3)"}),
+    "integrator": (lambda text: checked_choice(text, "integrator", METHODS),
+                   {"choices": METHODS, "help": "time stepper (default ssprk3)"}),
     "out": (_parse_out, {"help": "directory for CSV output"}),
 }
 

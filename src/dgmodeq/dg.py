@@ -10,14 +10,15 @@ can check the other:
 
       d a^j/dt = -(A a^j - B a^{j-1}) / dx
 
-  whose entries are assembled exactly in Q[sqrt(3), sqrt(5)] and demoted to
-  floats once, here.  update_matrices(k) is the scheme, the mesh.Stencil
+  whose entries are the exact weak-form rows (exact.basis.weak_form_rows,
+  in Q[sqrt(3), sqrt(5)]) closed with upwind traces, demoted to floats
+  once, here.  update_matrices(k) is the scheme, the mesh.Stencil
   {0: -A, -1: +B} (fv.fv_stencil is the FV one); it gives symbol(), the
   per-wavenumber amplification generator, and drives the exact Fourier
-  propagator (Integrator.propagate) of the convergence study.  rhs_weak
-  never touches the stencil, so it stays an independent check of it, and
-  the exact laws of exact.modeq come from the same weak form (traces,
-  volume matrix, mass) without reading A or B.
+  propagator (Integrator.propagate) of the convergence study.  The exact
+  laws of exact.modeq read the same rows but never A or B.  rhs_weak
+  touches neither the rows nor the stencil, so it stays an independent
+  check of both.
 
 correction_term() gives the discrete curvature defect used by the
 second-moment studies.

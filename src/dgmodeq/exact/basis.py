@@ -7,13 +7,14 @@ Basis functions live on xi in [-1/2, 1/2]:
     degree 2:  {1, 2*sqrt(3)*xi, 6*sqrt(5)*xi^2 - sqrt(5)/2}   (orthonormal)
 
 Everything here is computed over Q[sqrt(3), sqrt(5)]: monomial moments,
-mass diagonals, interface traces, the volume matrix and the rows of the weak
-form (which modeq reads), and the one-sided update matrices A, B of
+mass diagonals, interface traces, the volume matrix and the weak-form rows,
+which weak_form_rows alone assembles.  modeq's laws read the rows, and the
+one-sided update matrices A, B of
 
-    dx * d a^j/dt + A a^j - B a^{j-1} = 0.
+    dx * d a^j/dt + A a^j - B a^{j-1} = 0
 
-The floating-point stencil demotes A and B exactly once, so the irrational
-entries are rounded at a single site; the exact laws (modeq) never read them.
+are the rows closed with upwind traces.  The float stencil demotes A and B
+once, so irrational entries are rounded at a single site; the laws never read them.
 """
 from __future__ import annotations
 
@@ -116,7 +117,6 @@ def trace_vector(degree: int, side: int) -> tuple[QF, ...]:
     return tuple(poly_eval(p, xi) for p in basis_polynomials(degree))
 
 
-@lru_cache(maxsize=None, typed=True)
 def volume_matrix(degree: int) -> tuple[tuple[QF, ...], ...]:
     """V[m][n] = integral of phi_n * phi_m' over the reference cell."""
     polys = basis_polynomials(degree)
@@ -141,28 +141,17 @@ def weak_form_rows(degree: int) -> tuple[tuple[QF, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None, typed=True)
 def update_matrices_exact(degree: int) -> tuple[tuple[tuple[QF, ...], ...], tuple[tuple[QF, ...], ...]]:
-    """Assemble the exact one-sided update matrices (A, B) from the weak form.
+    """The exact one-sided update matrices (A, B): the weak-form rows closed with upwind traces.
 
-    Upwinding takes both interface values from the left, so the update of
-    cell j couples only a^j (through A) and a^{j-1} (through B):
+    Upwinding takes both interface values from the left, U_R = sum_n phi_n(1/2) a^j_n
+    and U_L the same sum over a^{j-1}, so row m = (r_R, r_L, v_0, .., v_degree) gives
 
-        A[m][n] = (phi_m(1/2) phi_n(1/2) - V[m][n]) / M_m
-        B[m][n] =  phi_m(-1/2) phi_n(1/2)           / M_m
+        A[m][n] = -(r_R phi_n(1/2) + v_n)
+        B[m][n] =   r_L phi_n(1/2)
     """
-    check_degree(degree)
-    tr = trace_vector(degree, +1)
-    tl = trace_vector(degree, -1)
-    vol = volume_matrix(degree)
-    mass = mass_diagonal(degree)
-    n_dofs = degree + 1
-    a_rows = []
-    b_rows = []
-    for m in range(n_dofs):
-        inv_mass = mass[m].reciprocal()
-        a_rows.append(
-            tuple((tr[m] * tr[n] - vol[m][n]) * inv_mass for n in range(n_dofs))
-        )
-        b_rows.append(tuple(tl[m] * tr[n] * inv_mass for n in range(n_dofs)))
-    return tuple(a_rows), tuple(b_rows)
+    tr, rows = trace_vector(degree, +1), weak_form_rows(degree)
+    return (
+        tuple(tuple(-(row[0] * t + v) for t, v in zip(tr, row[2:])) for row in rows),
+        tuple(tuple(row[1] * t for t in tr) for row in rows),
+    )

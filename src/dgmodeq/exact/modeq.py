@@ -37,7 +37,7 @@ from .basis import (
 # Not called here, but kept importable from this module so the benchmark's
 # tracer (perfbench/spans.py) can wrap it where it wraps the others.
 from .basis import update_matrices_exact  # noqa: F401
-from .numbers import ONE, QF, Frozen, checked_int
+from .numbers import ONE, QF, Frozen, checked_choice, checked_int
 from .series import DerivativeSeries
 
 TYPE_CHECKING = False
@@ -71,8 +71,7 @@ class StencilSpec(Frozen):
 
     def __init__(self, degree: int, mode: str, order: int = DEFAULT_ORDER) -> None:
         degree = check_degree(degree)
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        mode = checked_choice(mode, "mode", MODES)
         order = checked_int(order, "truncation order", MIN_ORDER)
         vars(self).update(degree=degree, mode=mode, order=order)
 
@@ -196,7 +195,7 @@ def _evolution_laws(spec: StencilSpec) -> tuple[ModifiedPDE, ...]:
     moments = _basis_moments(spec.degree, spec.order)
     for m, dadt in enumerate(modified_equation(spec)):
         if dadt.h_shift != -1:
-            raise ValueError(f"expected h_shift -1 from the stencil, got {dadt.h_shift}")
+            raise DerivationError(f"expected h_shift -1 from the stencil, got {dadt.h_shift}")
         lead_coeff = _leading_scale(moments, spec.degree, m)
         normalized = DerivativeSeries.combination([(lead_coeff.reciprocal(), dadt)]).div_h(m)
         rational, *surds = normalized.rows

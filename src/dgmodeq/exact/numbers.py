@@ -80,6 +80,14 @@ def checked_int(value: int, name: str, low: float = -inf, high: float = inf) -> 
     return int(value)
 
 
+def checked_choice(value: str, name: str, options: tuple[str, ...]) -> str:
+    """The entry of options equal to value, else ValueError; like checked_int's int, the plain
+    str comes back for an equal np.str_ or str subclass, so that keys no cache of its own."""
+    if value in options:
+        return options[options.index(value)]
+    raise ValueError(f"{name} must be one of {options}, got {value!r}")
+
+
 def check_finite(value: float, name: str, zero_ok: bool = False) -> None:
     """ValueError unless value is a real number, not a bool, in (0, inf), or [0, inf) if zero_ok."""
     sign = "nonnegative" if zero_ok else "positive"

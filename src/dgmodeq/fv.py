@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import QUAD_WEIGHTS
-from .exact.numbers import Frozen
+from .exact.numbers import Frozen, checked_choice
 from .field import Norms, _norms, sample_cells
 from .mesh import Mesh1D, Stencil, _readonly
 
@@ -60,9 +60,7 @@ def project_averages(f: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D) -> Ave
 @lru_cache(maxsize=None)
 def fv_stencil(scheme: str) -> Stencil:
     """Stencil of 'fv1', 'fv2-central' or 'fv2-upwind'."""
-    if scheme not in _FV_WEIGHTS:
-        raise ValueError(f"scheme must be one of {tuple(_FV_WEIGHTS)}, got {scheme!r}")
-    return Stencil(_FV_WEIGHTS[scheme])
+    return Stencil(_FV_WEIGHTS[checked_choice(scheme, "scheme", tuple(_FV_WEIGHTS))])
 
 
 def rhs_fv1(field: AverageField) -> AverageField:

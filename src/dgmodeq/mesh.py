@@ -61,6 +61,8 @@ class Stencil:
         blocks = {checked_int(o, "stencil offset"): np.atleast_2d(blocks[o]) for o in blocks}
         self.offsets = tuple(sorted(blocks))
         m = blocks[self.offsets[0]].shape[0]
+        if not m:
+            raise ValueError(f"stencil block at offset {self.offsets[0]} has no unknowns")
         for o in self.offsets:
             if blocks[o].shape != (m, m):
                 raise ValueError(f"stencil block at offset {o} is {blocks[o].shape}, not ({m}, {m})")

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .exact.numbers import Frozen, check_finite
+from .exact.numbers import Frozen, check_finite, checked_choice
 from .mesh import Stencil
 from .schemes import METHODS, STAGES
 
@@ -45,8 +45,7 @@ class Integrator(Frozen):
     """
 
     def __init__(self, method: str = "ssprk3", cfl: float = 0.1, t_final: float = 1.0) -> None:
-        if method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        method = checked_choice(method, "method", METHODS)
         check_finite(cfl, "cfl")
         check_finite(t_final, "t_final", zero_ok=True)
         vars(self).update(method=method, cfl=cfl, t_final=t_final)

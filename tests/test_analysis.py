@@ -14,6 +14,7 @@ import pytest
 
 import dgmodeq
 from dgmodeq import (
+    Integrator,
     RunConfig,
     analysis,
     fitted_l2_orders,
@@ -45,6 +46,7 @@ from dgmodeq.dg import rhs_matrix, rhs_weak, symbol
 from dgmodeq.exact import UPWIND_TRACE, DerivativeSeries, check_taylor, moment_leading_scale
 from dgmodeq.field import ModalField, project
 from dgmodeq.mesh import Mesh1D
+from dgmodeq.schemes import METHODS
 
 
 def test_initial_condition_parsing():
@@ -94,10 +96,18 @@ def test_run_config_validation():
         RunConfig("dg-p1", (40, 20))
     with pytest.raises(ValueError):
         RunConfig("dg-p1", (10, 20), cfl=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="integrator must be one of .*, got 'rk4'"):
         RunConfig("dg-p1", (10, 20), integrator="rk4")
     with pytest.raises(ValueError):
         RunConfig("dg-p1", (10, 20), ic="sawtooth")
+
+
+def test_choices_are_stored_as_plain_str():
+    # an equal np.str_ used to be stored as given, and so keyed caches and reprs
+    config = RunConfig(np.str_("dg-p2"), (10, 20), integrator=np.str_("euler"))
+    assert type(config.scheme) is str and type(config.integrator) is str
+    assert repr(config) == repr(RunConfig("dg-p2", (10, 20), integrator="euler"))
+    assert type(Integrator(np.str_("ssprk2")).method) is str
 
 
 @pytest.mark.parametrize(
@@ -864,11 +874,13 @@ def test_cli_config_line_without_equals(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("grids = 20,x", "grids: grids must be comma separated integers, got '20,x'"),
     ("cfl = fast", "cfl: could not convert string to float: 'fast'"),
-], ids=["grids", "cfl"])
+    ("scheme = foo", f"scheme: scheme must be one of {SCHEMES}, got 'foo'"),
+    ("integrator = rk4", f"integrator: integrator must be one of {METHODS}, got 'rk4'"),
+], ids=["grids", "cfl", "scheme", "integrator"])
 def test_cli_config_bad_value_names_file_and_line(line, message, tmp_path, capsys):
-    # both used to print only the message, with neither file nor line
+    # each used to print only the message, with neither file nor line
     cfg = tmp_path / "b.cfg"
-    cfg.write_text(f"scheme = dg-p1\n{line}\n")
+    cfg.write_text(f"ic = sine\n{line}\n")
     assert main(["convergence", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
 

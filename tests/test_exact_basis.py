@@ -208,6 +208,22 @@ def test_weak_form_rows_rebuild_the_update_matrices(degree):
             assert b_mat[m][n] == row[1] * tr[n]
 
 
+@pytest.mark.parametrize("entry", [0, 1, 2, 3], ids=["r_R", "r_L", "v_0", "v_1"])
+def test_update_matrices_follow_the_weak_form_rows(monkeypatch, entry):
+    # A and B are the rows closed with upwind traces, so one changed row entry
+    # must reach them, and only through that closure
+    rows = weak_form_rows(1)
+    bent = (rows[0], tuple(x * 2 + 1 if i == entry else x for i, x in enumerate(rows[1])))
+    want_a, want_b = update_matrices_exact(1)
+    monkeypatch.setattr(exact_basis, "weak_form_rows", lambda degree: bent)
+    a_mat, b_mat = update_matrices_exact(1)
+    tr = trace_vector(1, +1)
+    assert (a_mat[0], b_mat[0]) == (want_a[0], want_b[0])
+    assert a_mat[1] == tuple(-(bent[1][0] * t + v) for t, v in zip(tr, bent[1][2:]))
+    assert b_mat[1] == tuple(bent[1][1] * t for t in tr)
+    assert (a_mat, b_mat) != (want_a, want_b)
+
+
 def test_degree_out_of_range():
     with pytest.raises(ValueError):
         update_matrices_exact(3)
@@ -236,7 +252,8 @@ def test_degree_guard_accepts_integers():
         assert StencilSpec(degree, UPWIND_TRACE).degree == degree
 
 
-# Each cached exact-basis function with the int-degree arguments that warm it.
+# Each exact-basis function of a degree, cached or not, with the int-degree
+# arguments that warm it.
 CACHED_BY_DEGREE = {
     "weak_form_rows": (weak_form_rows, ()),
     "trace_vector": (trace_vector, (1,)),
@@ -252,7 +269,8 @@ def test_warm_cache_still_rejects_equal_degrees(name):
     # back the degree-1 entry without running the degree guard
     fn, rest = CACHED_BY_DEGREE[name]
     for cached, _ in CACHED_BY_DEGREE.values():
-        cached.cache_clear()
+        if hasattr(cached, "cache_clear"):  # V, A and B are built afresh on every call
+            cached.cache_clear()
     fn(1, *rest)
     for degree in (True, 1.0):
         with pytest.raises(ValueError, match="degree"):

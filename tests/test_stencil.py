@@ -113,10 +113,11 @@ def test_stencil_blocks_sorted_and_frozen():
         {0: 1j, -1: 2.0},  # used to keep the real part [2, 0] with only a ComplexWarning
         {0: np.nan},
         {0: np.inf},
+        {0: np.zeros((0, 0))},  # used to build a size-0 stencil that failed later in reshape
     ],
     ids=[
         "half-offset", "bool-offset", "str-offset", "empty", "not-square", "mixed-sizes",
-        "3d-block", "complex", "nan", "inf",
+        "3d-block", "complex", "nan", "inf", "no-unknowns",
     ],
 )
 def test_stencil_rejects_bad_blocks(blocks):
