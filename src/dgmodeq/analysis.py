@@ -42,7 +42,7 @@ from .exact import (
 )
 from .exact.basis import check_degree
 from .exact.modeq import derivative_name
-from .exact.numbers import Frozen, check_finite, checked_choice, checked_int
+from .exact.numbers import Frozen, checked_choice, checked_int, checked_real
 from .field import ModalField, Norms, error_norms, project
 from .fv import average_error_norms, fv_stencil, project_averages
 # Not called here, but kept importable from this module so the benchmark's
@@ -99,7 +99,9 @@ def _sine_derivative(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def initial_condition(spec: str) -> InitialCondition:
-    """Parse 'sine', 'gauss:SIGMA' or 'step' into an InitialCondition."""
+    """Parse 'sine', 'gauss:SIGMA' or 'step', the ic setting, into an InitialCondition."""
+    if not isinstance(spec, str):
+        raise ValueError(f"ic must be a str, got {spec!r}")
     if spec == "sine":
         return InitialCondition(_sine, True)
     if spec.startswith("gauss:"):
@@ -157,7 +159,8 @@ def _doubling_grids(grids: Sequence[int]) -> tuple[int, ...]:
 
 
 class RunConfig(Frozen):
-    """One study configuration; fully determines every output byte."""
+    """One study configuration, each setting stored as the plain value its check returns;
+    fully determines every output byte."""
 
     def __init__(
         self,
@@ -170,10 +173,11 @@ class RunConfig(Frozen):
     ) -> None:
         scheme = checked_choice(scheme, "scheme", SCHEMES)
         grids = _checked_grids(grids)
-        check_finite(cfl, "cfl")
-        check_finite(periods, "periods", zero_ok=True)
+        cfl = checked_real(cfl, "cfl")
+        periods = checked_real(periods, "periods", zero_ok=True)
         integrator = checked_choice(integrator, "integrator", METHODS)
         initial_condition(ic)  # validates the spec string
+        ic = str.__str__(ic)  # the plain str of an np.str_ or str subclass
         vars(self).update(
             scheme=scheme, grids=grids, cfl=cfl, periods=periods, ic=ic, integrator=integrator
         )

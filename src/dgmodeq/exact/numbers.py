@@ -30,11 +30,13 @@ single-component values, rationals included (the only reciprocals the
 derivations need, e.g. 1/(q*sqrt(3)) = (1/(3q))*sqrt(3)).  General
 quartic-field inversion is out of scope and raises ValueError.
 
-The rules both routes share live here too: checked_int and check_finite, the
-input rules for counts and for real settings, and Frozen, the base of every
-value type (QF and the exact StencilSpec, ModifiedPDE and DerivativeSeries,
-and the float route's meshes, bases, fields, integrators and configs).  It
-gives them what a frozen dataclass would, without importing dataclasses.
+The rules both routes share live here too: checked_int, checked_real and
+checked_choice, the input rules for counts, real settings and named
+choices, each returning the plain int, float or str its caller stores, and
+Frozen, the base of every value type (QF and the exact StencilSpec,
+ModifiedPDE and DerivativeSeries, and the float route's meshes, bases,
+fields, integrators and configs).  It gives them what a frozen dataclass
+would, without importing dataclasses.
 """
 from __future__ import annotations
 
@@ -88,13 +90,19 @@ def checked_choice(value: str, name: str, options: tuple[str, ...]) -> str:
     raise ValueError(f"{name} must be one of {options}, got {value!r}")
 
 
-def check_finite(value: float, name: str, zero_ok: bool = False) -> None:
-    """ValueError unless value is a real number, not a bool, in (0, inf), or [0, inf) if zero_ok."""
+def checked_real(value: float, name: str, zero_ok: bool = False) -> float:
+    """float(value) if value is a Real, not a bool, whose float is in (0, inf), or [0, inf) if
+    zero_ok and value is 0; else ValueError.  Like checked_int's int, the plain float comes back,
+    so a float32 or Fraction setting runs the float arithmetic of its value, not of its type."""
+    if not isinstance(value, bool) and isinstance(value, Real):
+        try:
+            real = float(value)
+        except OverflowError:  # an int or Fraction past the float range
+            real = inf
+        if 0.0 < real < inf or zero_ok and value == 0:
+            return abs(real)  # -0.0 comes back as 0.0
     sign = "nonnegative" if zero_ok else "positive"
-    if isinstance(value, bool) or not isinstance(value, Real) or not (
-        0 < value < inf or zero_ok and value == 0
-    ):
-        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+    raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 class _DataclassFields:

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .exact.numbers import Frozen, check_finite, checked_choice
+from .exact.numbers import Frozen, checked_choice, checked_real
 from .mesh import Stencil
 from .schemes import METHODS, STAGES
 
@@ -46,8 +46,8 @@ class Integrator(Frozen):
 
     def __init__(self, method: str = "ssprk3", cfl: float = 0.1, t_final: float = 1.0) -> None:
         method = checked_choice(method, "method", METHODS)
-        check_finite(cfl, "cfl")
-        check_finite(t_final, "t_final", zero_ok=True)
+        cfl = checked_real(cfl, "cfl")
+        t_final = checked_real(t_final, "t_final", zero_ok=True)
         vars(self).update(method=method, cfl=cfl, t_final=t_final)
 
     def schedule(self, dx: float) -> tuple[int, float, float]:
@@ -56,10 +56,12 @@ class Integrator(Frozen):
         n is ceil(q) for q = t_final/dt, less a slack of 1e-9 step plus the
         rounding of q, so rounding never adds a sliver step; but a positive
         horizon always takes at least one step, however small q is.  A q
-        above MAX_STEPS raises ValueError; past 2**52 a double cannot count
-        steps.
+        above MAX_STEPS raises ValueError (past 2**52 a double cannot count
+        steps), and so does a dt that underflows to 0.
         """
         dt = self.cfl * dx
+        if not dt:
+            raise ValueError(f"dt = cfl*dx = {self.cfl:.3g}*{dx:.3g} rounds to 0")
         q = self.t_final / dt
         if not q <= MAX_STEPS:
             raise ValueError(f"t_final/dt = {q:.3g} steps exceeds the limit of {MAX_STEPS:g}")

@@ -170,6 +170,9 @@ def test_study_rejects_empty_input(study):
     [
         {"cfl": np.nan}, {"cfl": np.inf}, {"periods": np.nan}, {"periods": np.inf},
         {"cfl": True}, {"periods": True}, {"periods": False}, {"cfl": "0.1"}, {"periods": -1.0},
+        # their floats leave the range: 0.0 for a positive value, or an overflow
+        {"cfl": np.longdouble("1e-4000")}, {"periods": np.longdouble("1e-4000")},
+        {"periods": Fraction(1, 10**400)}, {"cfl": 10**400}, {"periods": Fraction(10**400)},
     ],
 )
 def test_run_config_rejects_nonfinite(bad):
@@ -184,6 +187,32 @@ def test_finite_settings_are_named_as_the_caller_names_them():
     with pytest.raises(ValueError, match="^cfl must be positive"):
         RunConfig(cfl=0.0)
     assert RunConfig(periods=0, cfl=np.float64(0.2)).periods == 0
+
+
+@pytest.mark.parametrize("ic", [5, None, b"sine"])
+def test_run_config_refuses_a_non_str_ic(ic):
+    # these used to raise AttributeError from initial_condition
+    for parse in (initial_condition, lambda ic: RunConfig(ic=ic)):
+        with pytest.raises(ValueError, match="^ic must be a str"):
+            parse(ic)
+
+
+def test_ic_is_stored_as_plain_str():
+    class Text(str):
+        pass
+
+    for ic in (np.str_("gauss:0.1"), Text("gauss:0.1")):
+        config = RunConfig(ic=ic)
+        assert type(config.ic) is str
+        assert repr(config) == repr(RunConfig(ic="gauss:0.1"))
+
+
+def test_cli_refuses_a_step_that_underflows(capsys):
+    # cfl*dx rounded to 0.0, and the CLI printed a ZeroDivisionError traceback
+    assert main(["convergence", "--cfl", "5e-324", "--grids", "10,20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dt = cfl*dx = 4.94e-324*0.1 rounds to 0\n"
 
 
 @pytest.mark.parametrize("flag", ["--cfl", "--periods"])

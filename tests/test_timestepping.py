@@ -208,6 +208,14 @@ def test_schedule_rejects_schedules_past_the_limit():
         integ.schedule(Mesh1D(1000).dx)
 
 
+@pytest.mark.parametrize("t_final", [1.0, 0.0])
+def test_schedule_refuses_a_step_that_underflows(t_final):
+    # cfl*dx rounded to 0.0, and t_final/dt raised ZeroDivisionError
+    integ = Integrator("ssprk3", cfl=5e-324, t_final=t_final)
+    with pytest.raises(ValueError, match=r"^dt = cfl\*dx = .* rounds to 0$"):
+        integ.schedule(1 / 640)
+
+
 def test_schedule_last_step_property():
     # seeded draws of cfl 1e-12..1e12, 1..1000 cells and t_final 1e-12..1e6:
     # at least one step, the last one positive, at most dt up to rounding,
@@ -239,6 +247,10 @@ def test_schedule_last_step_property():
     [
         {"cfl": np.nan}, {"cfl": np.inf}, {"t_final": np.nan}, {"t_final": np.inf},
         {"cfl": True}, {"t_final": True}, {"cfl": -0.1}, {"t_final": "1"},
+        # 1e-4000 was accepted although its float is 0.0, and 10**400 raised
+        # OverflowError inside schedule
+        {"cfl": np.longdouble("1e-4000")}, {"t_final": np.longdouble("1e-4000")},
+        {"cfl": 10**400}, {"t_final": Fraction(10**400)},
     ],
 )
 def test_stepper_rejects_nonfinite(bad):
