@@ -202,17 +202,21 @@ class ResultTable:
     def __init__(self, name: str, columns: Sequence[str]) -> None:
         self.name = name
         self.columns = tuple(columns)
+        self._known = frozenset(self.columns)
         self.rows: list[tuple] = []
         self.meta: dict = {}
 
     def add_row(self, **cells: object) -> None:
-        unknown = set(cells) - set(self.columns)
+        unknown = cells.keys() - self._known
         if unknown:
-            raise ValueError(f"unknown columns {sorted(unknown)}")
+            raise ValueError(f"unknown columns {sorted(unknown)}; columns are {list(self.columns)}")
         self.rows.append(tuple(cells.get(c) for c in self.columns))
 
     def column(self, name: str) -> list:
-        idx = self.columns.index(name)
+        try:
+            idx = self.columns.index(name)
+        except ValueError:
+            raise ValueError(f"unknown column {name!r}; columns are {list(self.columns)}") from None
         return [row[idx] for row in self.rows]
 
     def csv_text(self) -> str:
@@ -406,6 +410,8 @@ def _sine_projection(mesh: Mesh1D, basis: ModalBasis) -> tuple[ModalField, tuple
 
     Writing cos - 1 as -2 sin^2 lets no O(1) cancellation in, so each
     moment's rounding is relative to its own size, not to sampled O(1) values.
+    The moments are built as (m, n_cells) rows, so each elementwise pass runs
+    along the cells; the field copies them into its (n_cells, m) layout.
     """
     phase = 2.0 * np.pi * mesh.centers
     sin_col, cos_col = np.sin(phase), np.cos(phase)
@@ -413,10 +419,10 @@ def _sine_projection(mesh: Mesh1D, basis: ModalBasis) -> tuple[ModalField, tuple
     xi_h = QUAD_NODES * mesh.dx
     c_m = rule.sum(axis=0) - 2.0 * (np.sin(np.pi * xi_h) ** 2 @ rule)
     s_m = np.sin(2.0 * np.pi * xi_h) @ rule
-    coeffs = np.multiply.outer(sin_col, c_m)
-    for column, s in zip(coeffs.T, s_m):
-        column += cos_col * s
-    return ModalField(mesh, basis, coeffs), (sin_col, cos_col)
+    rows = np.multiply.outer(c_m, sin_col)
+    for row, s in zip(rows, s_m):
+        row += cos_col * s
+    return ModalField(mesh, basis, rows.T), (sin_col, cos_col)
 
 
 def _residual_fits(degree: int) -> list[tuple]:

@@ -65,16 +65,17 @@ def rhs_weak(
     not a usable time-stepping closure (the sampled function does not
     follow the discrete solution).
 
-    Buffers: the weighted nodal values (n_cells, n_quad), freed once the
-    volume term (n_cells, m) exists, then one (m, n_cells) array that holds
-    the boundary term and becomes the derivative in place, plus the
-    interface values and the returned field's copy.
+    Buffers, all cells-last so each elementwise pass runs along the cells:
+    the weighted nodal values (n_quad, n_cells), freed once the volume term
+    (m, n_cells) exists, then one (m, n_cells) array that holds the boundary
+    term and becomes the derivative in place, plus the interface values and
+    the returned field's (n_cells, m) copy.
     """
     mesh = field.mesh
     basis = field.basis
-    u_at_nodes = field.coeffs @ basis.phi.T  # (N, n_quad)
-    u_at_nodes *= QUAD_WEIGHTS
-    volume = u_at_nodes @ basis.dphi
+    u_at_nodes = basis.phi @ field.coeffs.T  # (n_quad, N)
+    u_at_nodes *= QUAD_WEIGHTS[:, None]
+    volume = basis.dphi.T @ u_at_nodes  # (m, N)
     del u_at_nodes
     if interface is None:
         # Entry j is the upwind value at interface j+1; wrapping the roll
@@ -91,12 +92,11 @@ def rhs_weak(
             raise ValueError(f"interface function is not finite at x = {bad!r}")
         u_right = values[1:]
         u_left = values[:-1]
-    # Moment-major (m, N), so each elementwise pass runs along the cells;
-    # the boundary term becomes the derivative in place.
+    # The boundary term becomes the derivative in place.
     deriv = np.multiply.outer(basis.trace_right, u_right)
     for row, trace in zip(deriv, basis.trace_left):
         row -= trace * u_left
-    np.subtract(volume.T, deriv, out=deriv)
+    np.subtract(volume, deriv, out=deriv)
     deriv /= (mesh.dx * basis.mass)[:, None]
     return field.with_data(deriv.T)
 

@@ -465,6 +465,25 @@ def test_sine_projection_by_separation_matches_project(degree, n):
     assert np.array_equal(cos_x, np.cos(2.0 * np.pi * mesh.centers))
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 1280, 20480])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_sine_projection_matches_cell_major_formula_bit_for_bit(degree, n):
+    # the same separation assembled cell-major, (N, m), one column at a time
+    mesh, basis = Mesh1D(n), ModalBasis(degree)
+    sin_x = np.sin(2.0 * np.pi * mesh.centers)
+    cos_x = np.cos(2.0 * np.pi * mesh.centers)
+    rule = QUAD_WEIGHTS[:, None] * basis.phi / basis.mass
+    xi_h = QUAD_NODES * mesh.dx
+    c_m = rule.sum(axis=0) - 2.0 * (np.sin(np.pi * xi_h) ** 2 @ rule)
+    s_m = np.sin(2.0 * np.pi * xi_h) @ rule
+    want = np.multiply.outer(sin_x, c_m)
+    for column, s in zip(want.T, s_m):
+        column += cos_x * s
+    got = _sine_projection(mesh, basis)[0].coeffs
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("scheme", ["dg-p1", "dg-p2"])
 def test_residual_fine_ladder_reads_the_law_not_rounding(scheme):
     # An absolute rounding of eps in a moment of size h^m reads up to 7e-4
@@ -499,13 +518,17 @@ def test_residual_kernels_peak_memory():
     # dg-p2 at N=20480, numpy 2.4.6: one (N, 3) state is 480 KiB.  With
     # full-size temporaries rhs_weak peaked at 2882 KiB, rhs_matrix at 1441
     # and one _grid_estimates call at 4483; filling their own buffers, they
-    # peak at 1601, 961 and 3202 KiB.
+    # peak at 1601, 961 and 3202 KiB.  _sine_projection peaks at 1442 KiB,
+    # its (m, N) rows and the field's copy beside the phase, sin and cos
+    # columns.
     n, basis = 20480, ModalBasis(2)
-    field, _ = _sine_projection(Mesh1D(n), basis)
+    mesh = Mesh1D(n)
+    field, _ = _sine_projection(mesh, basis)
     fits = _residual_fits(2)
     assert _traced_peak(lambda: rhs_weak(field, _sine)) <= 1800 * 1024
     assert _traced_peak(lambda: rhs_matrix(field)) <= 1100 * 1024
     assert _traced_peak(lambda: _grid_estimates(n, basis, fits)) <= 3400 * 1024
+    assert _traced_peak(lambda: _sine_projection(mesh, basis)) <= 1500 * 1024
 
 
 def test_correction_ratio_follows_cmax():
@@ -944,9 +967,18 @@ def test_cli_empty_out_refused(argv, tmp_path, monkeypatch, capsys):
 
 def test_add_row_refuses_unknown_column():
     table = ResultTable("t", ("N", "l2"))
-    with pytest.raises(ValueError, match=r"unknown columns \['linf'\]"):
+    with pytest.raises(ValueError, match=r"unknown columns \['linf'\]; columns are \['N', 'l2'\]$"):
         table.add_row(N=10, linf=0.5)
     assert table.rows == []
+
+
+def test_column_names_an_unknown_column():
+    # it used to raise tuple.index's "tuple.index(x): x not in tuple"
+    table = ResultTable("t", ("N", "l2"))
+    table.add_row(N=10, l2=0.5)
+    assert table.column("l2") == [0.5]
+    with pytest.raises(ValueError, match=r"^unknown column 'nope'; columns are \['N', 'l2'\]$"):
+        table.column("nope")
 
 
 # What each subcommand reads; every other study flag must be refused.

@@ -116,7 +116,9 @@ def _rhs_weak_cell_major(field, interface):
 
 
 @pytest.mark.parametrize("interface", [None, lambda x: np.sin(2 * np.pi * x)], ids=["upwind", "exact"])
-@pytest.mark.parametrize("n", [1, 7, 1280])
+# N = 2 and 3 are the smallest periodic wraps; 20480 is the residual study's
+# finest benchmark grid.
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1280, 20480])
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_rhs_weak_matches_cell_major_formula_bit_for_bit(degree, n, interface):
     field = random_field(n, degree, seed=n + degree)

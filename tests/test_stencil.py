@@ -93,6 +93,19 @@ def test_symbol_vectorizes_over_theta():
         assert g[0, 0] == pytest.approx(want, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "make, arg",
+    [(update_matrices, 0), (update_matrices, 1), (update_matrices, 2),
+     (fv_stencil, "fv1"), (fv_stencil, "fv2-central"), (fv_stencil, "fv2-upwind")],
+    ids=["dg-p0", "dg-p1", "dg-p2", "fv1", "fv2-central", "fv2-upwind"],
+)
+def test_symbol_row_zero_vanishes_exactly_at_theta_zero(make, arg):
+    # Row 0 of G(0) is the rate of the summed cell averages per unit state:
+    # every scheme conserves them, so it is zero, not merely below rounding.
+    row = make(arg).symbol(0.0)[0]
+    assert np.all(row == 0), row
+
+
 def test_stencil_blocks_sorted_and_frozen():
     stencil = Stencil({1: 2.0, -2: 3.0, 0: -5.0})
     assert stencil.offsets == (-2, 0, 1)
